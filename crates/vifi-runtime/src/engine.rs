@@ -25,7 +25,7 @@
 //! `(config, seed, schedule)` — never of the partition or of how many
 //! worker threads execute it. `shards = 1` is literally the same machine
 //! with one shard; that is the bit-identity `tests/shard_equivalence.rs`
-//! pins for `ShardMode::Coupled`.
+//! pins for every sharded run.
 //!
 //! Relative to the pre-PR-5 per-event loop this changes the observable
 //! semantics in one bounded way: a frame requested during an epoch airs
@@ -40,6 +40,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -55,7 +56,7 @@ use vifi_mac::{
 use vifi_phy::{LinkModel, NodeId};
 use vifi_sim::{
     EpochBarrier, EpochSchedule, HierarchicalSchedule, NestedEpochBarrier, Rng, Scheduler, SimTime,
-    TimerToken,
+    TimerToken, PEER_PANICKED,
 };
 
 use crate::logging::{LogSink, RunLog};
@@ -356,11 +357,42 @@ pub(crate) struct EngineSetup {
     /// run is flat.
     pub clusters: Vec<Vec<NodeId>>,
     pub partition: EnginePartition,
-    /// Base scheduler-shard id (micro-shards of an Independent run stamp
-    /// their queues so timer tokens stay distinct across sub-runs).
-    pub base_shard_id: u32,
     /// Worker threads to execute the shards on (clamped to shard count).
     pub workers: usize,
+}
+
+/// Drop guard held by every worker of a threaded executor: if the worker
+/// unwinds, it poisons the epoch barrier so its peers panic instead of
+/// waiting forever for a participant that will never arrive.
+struct PoisonOnUnwind<F: Fn()>(F);
+
+impl<F: Fn()> Drop for PoisonOnUnwind<F> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            (self.0)();
+        }
+    }
+}
+
+/// Join a threaded executor's workers. If any panicked, re-raise the root
+/// cause on the calling thread: the first panic that is not a peer woken
+/// by the poisoned barrier ([`PEER_PANICKED`]).
+fn join_workers(handles: Vec<ScopedJoinHandle<'_, ()>>) {
+    let mut root = None;
+    for h in handles {
+        if let Err(payload) = h.join() {
+            let peer = payload.downcast_ref::<&str>() == Some(&PEER_PANICKED);
+            if root
+                .as_ref()
+                .map_or(true, |&(was_peer, _)| was_peer && !peer)
+            {
+                root = Some((peer, payload));
+            }
+        }
+    }
+    if let Some((_, payload)) = root {
+        std::panic::resume_unwind(payload);
+    }
 }
 
 /// Run the engine to completion.
@@ -457,7 +489,6 @@ impl Engine {
             hierarchy,
             clusters,
             partition,
-            base_shard_id,
             workers,
         } = setup;
         assert!(!vehicles.is_empty() && !bs_ids.is_empty());
@@ -539,7 +570,7 @@ impl Engine {
             }
             shards.push(Mutex::new(Shard {
                 nodes,
-                sched: Scheduler::with_shard(base_shard_id + s as u32),
+                sched: Scheduler::with_shard(s as u32),
                 cells,
                 link: link_factory(),
                 tx_requests: Vec::new(),
@@ -715,9 +746,11 @@ impl Engine {
             let engine = &self;
             let boundaries = &boundaries;
             std::thread::scope(|scope| {
+                let mut handles = Vec::new();
                 for w in 0..engine.workers {
                     let barrier = &barrier;
-                    scope.spawn(move || {
+                    handles.push(scope.spawn(move || {
+                        let _poison = PoisonOnUnwind(|| barrier.poison());
                         let my_shards: Vec<usize> =
                             (w..engine.shards.len()).step_by(engine.workers).collect();
                         for (bi, &b) in boundaries.iter().enumerate() {
@@ -775,8 +808,9 @@ impl Engine {
                             engine.exec_epoch(&mut sh, horizon, true);
                             sh.wall += t0.elapsed();
                         }
-                    });
+                    }));
                 }
+                join_workers(handles);
             });
         }
 
@@ -994,11 +1028,13 @@ impl Engine {
         let engine = &self;
         let counts = &counts;
         std::thread::scope(|scope| {
+            let mut handles = Vec::new();
             for sg in 0..nsg {
                 for k in 0..counts[sg] {
                     let barrier = &barrier;
                     let (sg_shards, sg_clusters, sg_mask) = (&sg_shards, &sg_clusters, &sg_mask);
-                    scope.spawn(move || {
+                    handles.push(scope.spawn(move || {
+                        let _poison = PoisonOnUnwind(|| barrier.poison());
                         let my_shards: Vec<usize> = sg_shards[sg]
                             .iter()
                             .copied()
@@ -1045,9 +1081,10 @@ impl Engine {
                                 barrier.wait_global();
                             }
                         }
-                    });
+                    }));
                 }
             }
+            join_workers(handles);
         });
     }
 

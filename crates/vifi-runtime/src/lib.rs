@@ -56,22 +56,12 @@
 //!
 //! ## Sharded runs
 //!
-//! Large fleet runs shard across cores with [`RunConfig::shards`],
-//! [`RunConfig::shard_mode`] and [`Simulation::run_sharded`], two ways:
-//!
-//! * [`ShardMode::Independent`] (default) decomposes by vehicle, each
-//!   simulated against the full infrastructure under an RNG stream keyed
-//!   by `(run_seed, vehicle)`; outcomes merge deterministically in
-//!   vehicle order and are bit-identical for every shard count `>= 2` —
-//!   but cross-vehicle contention is dropped.
-//! * [`ShardMode::Coupled`] splits the *one* coupled run across shards on
-//!   the epoch-synchronized engine, preserving the shared medium; the
-//!   result is bit-identical to the sequential `shards = 1` run at every
-//!   shard and worker count.
-//!
-//! [`RunOutcome::fingerprint`] is the equality the equivalence suite
-//! asserts for both claims. See [`sim`]'s module docs for when each mode
-//! is valid.
+//! Large fleet runs shard across cores with [`RunConfig::shards`]:
+//! [`Simulation::run`] splits the *one* coupled run across lanes of the
+//! epoch-synchronized engine, preserving the shared medium, and the
+//! result is bit-identical to the sequential `shards = 1` run at every
+//! shard and worker count. [`RunOutcome::fingerprint`] is the equality
+//! the equivalence suite asserts; see [`sim`]'s module docs.
 //!
 //! ```
 //! use vifi_runtime::{RunConfig, Simulation, WorkloadSpec};
@@ -86,8 +76,8 @@
 //!     shards: 2,
 //!     ..RunConfig::default()
 //! };
-//! let a = Simulation::run_sharded(&scenario, cfg.clone());
-//! let b = Simulation::run_sharded(&scenario, RunConfig { shards: 4, ..cfg });
+//! let a = Simulation::deployment(&scenario, cfg.clone()).run();
+//! let b = Simulation::deployment(&scenario, RunConfig { shards: 4, ..cfg }).run();
 //! assert_eq!(a.fingerprint(), b.fingerprint(), "invariant to shard count");
 //! ```
 
@@ -107,6 +97,6 @@ pub use fingerprint::{Fingerprint, Fingerprintable};
 pub use logging::{LogSink, PerfectRelayOutcome, RunLog, Table1, Table2Row};
 pub use sim::{
     plan_shards, FaultStats, RunConfig, RunOutcome, ShardAssignment, ShardMode, ShardPlan,
-    ShardTiming, Simulation, VehicleOutcome,
+    Simulation, VehicleOutcome,
 };
 pub use workload::{aggregate_cbr, CbrStats, TcpStats, VoipStats, WorkloadReport, WorkloadSpec};

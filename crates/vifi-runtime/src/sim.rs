@@ -6,19 +6,18 @@
 //! Internet host behind a wired hop. Determinism: everything derives from
 //! `(RunConfig, seed)`.
 //!
-//! Since PR 5 every coupled run executes on the **epoch-synchronized
-//! engine** (`crate::engine`): nodes are grouped into shards, each shard
-//! dispatches its own nodes' events, and all inter-node effects — frame
-//! placement and reception, backplane messages, wired hops, packet-log
-//! writes — cross at epoch barriers in canonically sorted batches. The
-//! engine is the *same machine at every shard count*: `shards = 1` (the
-//! default, and [`Simulation::run`]) is one shard on the calling thread,
-//! and [`ShardMode::Coupled`] splits the same run across worker threads
-//! with bit-identical results. Epoch boundaries come from an
-//! [`vifi_sim::EpochSchedule`] whose lookahead is derived from
-//! [`Scenario::contact_windows`]-style activity analysis plus the beacon
-//! period: while the whole fleet is out of radio contact, shards run free
-//! on a stretched quantum.
+//! Every run executes on the **epoch-synchronized engine**
+//! (`crate::engine`): nodes are grouped into lanes, each lane dispatches
+//! its own nodes' events, and all inter-node effects — frame placement
+//! and reception, backplane messages, wired hops, packet-log writes —
+//! cross at epoch barriers in canonically sorted batches. The engine is
+//! the *same machine at every shard count*: `shards = 1` (the default) is
+//! one lane on the calling thread, and more shards split the same run
+//! across worker threads with bit-identical results. Epoch boundaries
+//! come from an [`vifi_sim::EpochSchedule`] whose lookahead is derived
+//! from [`Scenario::contact_windows`]-style activity analysis plus the
+//! beacon period: while the whole fleet is out of radio contact, lanes
+//! run free on a stretched quantum.
 //!
 //! ## Fleet runs
 //!
@@ -34,28 +33,18 @@
 //!
 //! ## Sharded runs
 //!
-//! A single large fleet run can be sharded across cores with
-//! [`RunConfig::shards`] + [`RunConfig::shard_mode`] and
-//! [`Simulation::run_sharded`]. Two modes:
-//!
-//! * [`ShardMode::Independent`] (PR 4's decomposition, the default): each
-//!   instrumented vehicle is simulated in its own sub-run against the
-//!   full basestation infrastructure, keyed by `(run_seed, vehicle)`;
-//!   outcomes merge deterministically and are invariant to the shard
-//!   count — but cross-vehicle channel contention and background
-//!   occupants are dropped. Fast, embarrassingly parallel, and only valid
-//!   when contention between fleet members is not the thing measured.
-//! * [`ShardMode::Coupled`]: the epoch engine splits the *one* coupled
-//!   run across shards — vehicles partitioned by contact load
-//!   ([`Scenario::shard_partition_by_contact`]), basestations by
-//!   contact-seconds ([`Scenario::bs_contact_seconds`]) — and the merged
-//!   [`RunOutcome`] is **bit-identical to the sequential `shards = 1`
-//!   run** at every shard and worker count (`tests/shard_equivalence.rs`
-//!   enforces it). Slower per event than Independent, but the numbers
-//!   keep the paper's full contention physics.
+//! [`RunConfig::shards`] splits the *one* coupled run across engine
+//! lanes: [`plan_shards`] partitions the vehicles by contact load
+//! ([`Scenario::shard_partition_by_contact`]) and the basestations by
+//! contact-seconds ([`Scenario::bs_contact_seconds`]).
+//! [`Simulation::run`] picks the worker-thread count itself;
+//! [`Simulation::run_coupled_timed`] takes it as an override and also
+//! returns the engine's wall-clock breakdown. Both keep the paper's full
+//! contention physics, and the outcome is **bit-identical to the
+//! sequential `shards = 1` run** at every shard and worker count
+//! (`tests/shard_equivalence.rs` enforces it).
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
 use vifi_core::VifiConfig;
 use vifi_faults::{ChannelOverrides, FaultPlan};
@@ -70,18 +59,13 @@ use crate::fingerprint::{Fingerprint, Fingerprintable};
 use crate::logging::RunLog;
 use crate::workload::{WorkloadReport, WorkloadSpec};
 
-/// How [`Simulation::run_sharded`] decomposes a run when
-/// [`RunConfig::shards`] is at least 2. See the module docs for the
-/// semantics of each mode; `shards = 1` ignores the mode and runs the
-/// sequential coupled loop.
+/// Decomposition semantics of a sharded run. Only the coupled epoch
+/// engine remains; the type stays for [`RunConfig::shard_mode`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ShardMode {
-    /// Per-vehicle sub-runs against replicated infrastructure; drops
-    /// cross-vehicle contention (PR 4 semantics, the historical default).
-    #[default]
-    Independent,
     /// One coupled run on the epoch-synchronized engine; preserves the
     /// shared medium and is bit-identical to `shards = 1`.
+    #[default]
     Coupled,
 }
 
@@ -110,21 +94,24 @@ pub struct RunConfig {
     /// Note: VoIP runs should keep this 0 — the VoIP scorer adds the
     /// paper's fixed 40 ms wired budget itself (§5.3.2).
     pub wired_delay: SimDuration,
-    /// Execution sharding for [`Simulation::run_sharded`]. `1` (the
-    /// default) is the sequential coupled run — `run_sharded` and
-    /// [`Simulation::run`] are then the same path. `>= 2` decomposes the
-    /// run per [`RunConfig::shard_mode`] (`0` = one shard per available
-    /// core, floored at two so the choice of semantics never depends on
-    /// the host). Ignored by plain [`Simulation::run`].
+    /// Engine lanes the run is split across. `1` (the default) puts every
+    /// node on one lane on the calling thread; `>= 2` partitions the
+    /// scenario with [`plan_shards`] and runs the lanes on worker threads
+    /// (`0` = one shard per available core, floored at two so the
+    /// execution path never depends on the host). The outcome is
+    /// bit-identical at every shard count. Trace-driven runs have one
+    /// vehicle and always run on one lane.
     pub shards: usize,
-    /// Decomposition semantics when `shards >= 2`; see [`ShardMode`].
+    /// No code reads this field: every sharded run is coupled. It stays
+    /// because the benchmark's adapter (`benchmark/src/adapter.rs`) sets
+    /// it.
     pub shard_mode: ShardMode,
     /// Seeded fault schedule (basestation crashes, beacon suppression,
     /// backplane partitions/spikes, wired outages). Empty (the default)
     /// means an unfaulted run — bit-identical to a config predating the
     /// field. Fault events are applied at canonical points of the epoch
-    /// engine, so a faulted outcome is invariant to [`ShardMode`], shard
-    /// count and worker count exactly like an unfaulted one.
+    /// engine, so a faulted outcome is invariant to shard count and
+    /// worker count exactly like an unfaulted one.
     pub faults: FaultPlan,
     /// Scenario-level channel-process overrides (gray-period and
     /// Gilbert–Elliott parameters). `None`s (the default) keep the radio
@@ -157,7 +144,7 @@ impl Default for RunConfig {
             backplane: BackplaneParams::default(),
             wired_delay: SimDuration::from_millis(10),
             shards: 1,
-            shard_mode: ShardMode::Independent,
+            shard_mode: ShardMode::Coupled,
             faults: FaultPlan::default(),
             channel: ChannelOverrides::default(),
             flat_epochs: false,
@@ -282,12 +269,10 @@ enum SimKind {
 }
 
 /// The assembled simulation: configuration plus the channel source. The
-/// actual state machine lives in `crate::engine`; `run` instantiates it
-/// with a single shard.
+/// actual state machine lives in `crate::engine`.
 pub struct Simulation {
     cfg: RunConfig,
     kind: SimKind,
-    base_shard_id: u32,
 }
 
 impl Simulation {
@@ -296,20 +281,12 @@ impl Simulation {
     /// protocol (beacons, anchoring) as background occupants of the
     /// channel.
     pub fn deployment(scenario: &Scenario, cfg: RunConfig) -> Self {
-        Self::deployment_shard(scenario, cfg, 0)
-    }
-
-    /// Deployment mode under a specific scheduler shard id (Independent
-    /// sub-runs tag their event queues so timer tokens are distinct
-    /// across shards; the id itself never changes simulation results).
-    fn deployment_shard(scenario: &Scenario, cfg: RunConfig, shard: u32) -> Self {
         scenario.validate();
         Simulation {
             cfg,
             kind: SimKind::Deployment {
                 scenario: scenario.clone(),
             },
-            base_shard_id: shard,
         }
     }
 
@@ -320,7 +297,6 @@ impl Simulation {
             kind: SimKind::Trace {
                 trace: trace.clone(),
             },
-            base_shard_id: 0,
         }
     }
 
@@ -387,7 +363,6 @@ impl Simulation {
                     hierarchy,
                     clusters,
                     partition,
-                    base_shard_id: self.base_shard_id,
                     workers,
                     cfg,
                 }
@@ -425,7 +400,6 @@ impl Simulation {
                     hierarchy: None,
                     clusters: Vec::new(),
                     partition,
-                    base_shard_id: self.base_shard_id,
                     workers,
                     cfg,
                 }
@@ -450,34 +424,73 @@ impl Simulation {
         }
     }
 
-    /// Run to completion and produce the outcome: the epoch engine with a
-    /// single shard on the calling thread — the sequential coupled run
-    /// every sharded mode is measured against.
+    /// Run to completion and produce the outcome, on
+    /// [`RunConfig::shards`] lanes with the worker-thread count chosen
+    /// automatically.
     pub fn run(self) -> RunOutcome {
-        let partition = EnginePartition::single(self.all_nodes());
-        let setup = self.engine_setup(partition, 1);
-        engine::run(setup).0
+        self.execute(None).0
+    }
+
+    /// Run `(scenario, cfg)` like [`Simulation::run`], returning the
+    /// outcome plus the engine's wall-clock breakdown (per-shard epoch
+    /// work and the serial coordinator share). `workers` overrides the
+    /// worker-thread count — `Some(1)` executes every shard on the
+    /// calling thread, which is how the fleet sweep measures honest
+    /// per-shard walls on small hosts. The outcome is bit-identical for
+    /// every worker count.
+    pub fn run_coupled_timed(
+        scenario: &Scenario,
+        cfg: RunConfig,
+        workers: Option<usize>,
+    ) -> (RunOutcome, CoupledTiming) {
+        Simulation::deployment(scenario, cfg).execute(workers)
+    }
+
+    /// The one run driver behind both entry points. Trace-driven runs and
+    /// `shards = 1` put every node on a single lane; more shards take
+    /// their lanes from [`plan_shards`]. `workers = None` uses one thread
+    /// per lane up to the host's parallelism (floored at two, so a sharded
+    /// run really exercises the threaded path).
+    fn execute(self, workers: Option<usize>) -> (RunOutcome, CoupledTiming) {
+        let partition = match &self.kind {
+            SimKind::Deployment { scenario } if resolve_shards(self.cfg.shards) > 1 => {
+                EnginePartition {
+                    lanes: plan_shards(scenario, &self.cfg)
+                        .assignments
+                        .into_iter()
+                        .map(|a| [a.vehicles, a.basestations].concat())
+                        .collect(),
+                }
+            }
+            _ => EnginePartition::single(self.all_nodes()),
+        };
+        let workers = workers.unwrap_or_else(|| {
+            partition.lanes.len().min(
+                std::thread::available_parallelism()
+                    .map(|p| p.get())
+                    .unwrap_or(1)
+                    .max(2),
+            )
+        });
+        let setup = self.engine_setup(partition, workers);
+        engine::run(setup)
     }
 }
 
 // ---------------------------------------------------------------------
-// Sharded execution
+// Shard planning
 // ---------------------------------------------------------------------
 
-/// One shard of a sharded run: the disjoint node set it owns. For
-/// [`ShardMode::Independent`] only `vehicles` is populated (each vehicle
-/// becomes its own sub-run, `basestations` is empty because the
-/// infrastructure is replicated); for [`ShardMode::Coupled`] the shard
-/// owns its vehicles *and* an exclusive slice of the basestations.
+/// One shard of a sharded run: the disjoint node set its engine lane
+/// owns — its vehicles and an exclusive slice of the basestations.
 #[derive(Clone, Debug)]
 pub struct ShardAssignment {
-    /// Shard identity (also stamped into the shard's timer tokens).
+    /// Shard identity (also stamped into the lane's timer tokens).
     pub shard_id: u32,
-    /// `(fleet_index, vehicle)` pairs owned by this shard; `fleet_index`
-    /// is the vehicle's position in [`Scenario::vehicle_ids`] order.
-    pub vehicles: Vec<(usize, NodeId)>,
-    /// Basestations owned by this shard (coupled mode only): every BS is
-    /// owned by exactly one shard, balanced by contact-seconds.
+    /// Vehicles owned by this shard, background occupants included.
+    pub vehicles: Vec<NodeId>,
+    /// Basestations owned by this shard: every BS is owned by exactly one
+    /// shard, balanced by contact-seconds.
     pub basestations: Vec<NodeId>,
 }
 
@@ -485,30 +498,8 @@ pub struct ShardAssignment {
 #[derive(Clone, Debug)]
 pub struct ShardPlan {
     /// One assignment per shard (trailing shards may be empty when the
-    /// shard count exceeds the instrumented-vehicle count).
+    /// shard count exceeds what the scenario can fill).
     pub assignments: Vec<ShardAssignment>,
-}
-
-impl ShardPlan {
-    /// Total vehicles across all assignments.
-    pub fn vehicles(&self) -> usize {
-        self.assignments.iter().map(|a| a.vehicles.len()).sum()
-    }
-}
-
-/// Wall-clock accounting of one shard of a sharded run: how long the
-/// shard's work took on its worker. The maximum across shards is the
-/// run's critical path — the wall-clock it needs when every shard has
-/// its own core. (Coupled runs additionally spend serial coordinator
-/// time at the barriers; [`Simulation::run_coupled_timed`] reports it.)
-#[derive(Clone, Debug)]
-pub struct ShardTiming {
-    /// Which shard.
-    pub shard_id: u32,
-    /// How many vehicles the shard simulated.
-    pub vehicles: usize,
-    /// Wall-clock the shard spent simulating them.
-    pub wall: Duration,
 }
 
 /// Resolve the configured shard count: `0` means one shard per available
@@ -526,17 +517,11 @@ fn resolve_shards(shards: usize) -> usize {
     }
 }
 
-/// Build the deterministic shard plan for `(scenario, cfg)`.
-///
-/// [`ShardMode::Independent`]: the instrumented vehicles (every vehicle
-/// in fleet mode, the first vehicle otherwise) partitioned round-robin by
-/// [`Scenario::shard_partition`]; basestations are not assigned (each
-/// sub-run replicates them).
-///
-/// [`ShardMode::Coupled`]: *all* vehicles (background occupants too — the
-/// coupled engine simulates the whole scenario) partitioned by contact
-/// load ([`Scenario::shard_partition_by_contact`]), plus every
-/// basestation assigned to exactly one shard, heaviest-first by
+/// Build the deterministic shard plan for `(scenario, cfg)`: *all*
+/// vehicles (background occupants too — the engine simulates the whole
+/// scenario) partitioned by contact load
+/// ([`Scenario::shard_partition_by_contact`]), plus every basestation
+/// assigned to exactly one shard, heaviest-first by
 /// [`Scenario::bs_contact_seconds`] onto the lightest shard. A pure
 /// function of its inputs; and since the engine's outcome is invariant to
 /// the partition, the assignment is purely a load-balancing choice.
@@ -552,71 +537,39 @@ fn resolve_shards(shards: usize) -> usize {
 /// no cluster straddles a shard boundary needlessly.
 pub fn plan_shards(scenario: &Scenario, cfg: &RunConfig) -> ShardPlan {
     let shards = resolve_shards(cfg.shards).max(1);
-    let fleet_index: HashMap<NodeId, usize> = scenario
-        .vehicle_ids()
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| (v, i))
-        .collect();
-    match cfg.shard_mode {
-        ShardMode::Independent => {
-            let groups: Vec<Vec<NodeId>> = if cfg.fleet_workloads.is_empty() {
-                // Non-fleet mode instruments only the first vehicle; the
-                // rest of the partition stays empty.
-                let mut groups = vec![Vec::new(); shards];
-                groups[0].push(scenario.vehicle_ids()[0]);
-                groups
-            } else {
-                scenario.shard_partition(shards)
-            };
-            ShardPlan {
-                assignments: groups
-                    .into_iter()
-                    .enumerate()
-                    .map(|(s, vehicles)| ShardAssignment {
-                        shard_id: s as u32,
-                        vehicles: vehicles.into_iter().map(|v| (fleet_index[&v], v)).collect(),
-                        basestations: Vec::new(),
-                    })
-                    .collect(),
-            }
-        }
-        ShardMode::Coupled => {
-            let link = scenario.build_link_model(&Rng::new(cfg.seed));
-            let clusters = if cfg.flat_epochs {
-                Vec::new()
-            } else {
-                scenario.contact_clusters(&link)
-            };
-            if clusters.len() >= 2 {
-                return plan_coupled_clustered(scenario, &link, &clusters, shards, &fleet_index);
-            }
-            let vgroups = scenario.shard_partition_by_contact(shards, &link, 0.1);
-            // Basestations: longest-processing-time by contact seconds.
-            let mut weights = scenario.bs_contact_seconds(&link, 0.1);
-            weights.sort_by_key(|&(bs, w)| (std::cmp::Reverse(w), bs));
-            let mut bs_groups: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
-            let mut loads = vec![0u64; shards];
-            for (bs, w) in weights {
-                let lightest = (0..shards)
-                    .min_by_key(|&s| (loads[s], s))
-                    .expect(">=1 shard");
-                loads[lightest] += w;
-                bs_groups[lightest].push(bs);
-            }
-            ShardPlan {
-                assignments: vgroups
-                    .into_iter()
-                    .zip(bs_groups)
-                    .enumerate()
-                    .map(|(s, (vehicles, basestations))| ShardAssignment {
-                        shard_id: s as u32,
-                        vehicles: vehicles.into_iter().map(|v| (fleet_index[&v], v)).collect(),
-                        basestations,
-                    })
-                    .collect(),
-            }
-        }
+    let link = scenario.build_link_model(&Rng::new(cfg.seed));
+    let clusters = if cfg.flat_epochs {
+        Vec::new()
+    } else {
+        scenario.contact_clusters(&link)
+    };
+    if clusters.len() >= 2 {
+        return plan_coupled_clustered(scenario, &link, &clusters, shards);
+    }
+    let vgroups = scenario.shard_partition_by_contact(shards, &link, 0.1);
+    // Basestations: longest-processing-time by contact seconds.
+    let mut weights = scenario.bs_contact_seconds(&link, 0.1);
+    weights.sort_by_key(|&(bs, w)| (std::cmp::Reverse(w), bs));
+    let mut bs_groups: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
+    let mut loads = vec![0u64; shards];
+    for (bs, w) in weights {
+        let lightest = (0..shards)
+            .min_by_key(|&s| (loads[s], s))
+            .expect(">=1 shard");
+        loads[lightest] += w;
+        bs_groups[lightest].push(bs);
+    }
+    ShardPlan {
+        assignments: vgroups
+            .into_iter()
+            .zip(bs_groups)
+            .enumerate()
+            .map(|(s, (vehicles, basestations))| ShardAssignment {
+                shard_id: s as u32,
+                vehicles,
+                basestations,
+            })
+            .collect(),
     }
 }
 
@@ -632,7 +585,6 @@ fn plan_coupled_clustered(
     link: &PhysicalLinkModel,
     clusters: &[Vec<NodeId>],
     shards: usize,
-    fleet_index: &HashMap<NodeId, usize>,
 ) -> ShardPlan {
     // Per-node contact weights — the same load proxies the flat planner
     // uses (vehicle contact seconds, BS contact seconds).
@@ -705,7 +657,7 @@ fn plan_coupled_clustered(
     }
     // Within each cluster: vehicles LPT across the cluster's shards, BSes
     // LPT independently (mirroring the flat planner's separate ledgers).
-    let mut vehicles_of: Vec<Vec<(usize, NodeId)>> = vec![Vec::new(); shards];
+    let mut vehicles_of: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
     let mut bs_of: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
     for (c, (mut vs, mut bs)) in members.into_iter().enumerate() {
         let hosts = &host[c];
@@ -716,7 +668,7 @@ fn plan_coupled_clustered(
                 .min_by_key(|&k| (loads[k], k))
                 .expect("cluster hosts at least one shard");
             loads[k] += w;
-            vehicles_of[hosts[k]].push((fleet_index[&v], v));
+            vehicles_of[hosts[k]].push(v);
         }
         bs.sort_by_key(|&(w, b)| (std::cmp::Reverse(w), b));
         let mut loads = vec![0u64; hosts.len()];
@@ -736,312 +688,6 @@ fn plan_coupled_clustered(
                 basestations: std::mem::take(&mut bs_of[s]),
             })
             .collect(),
-    }
-}
-
-/// The seed of one vehicle's Independent sub-run. The partition unit is
-/// the vehicle, so streams are keyed by `(run_seed, vehicle)` — never by
-/// the shard count — which is what makes Independent outcomes invariant
-/// to how many workers execute the plan. Fleet index 0 keeps the run
-/// seed itself, so a single-vehicle scenario's sharded run replays the
-/// sequential run bit-for-bit.
-fn micro_shard_seed(seed: u64, fleet_index: usize, vehicle: NodeId) -> u64 {
-    if fleet_index == 0 {
-        seed
-    } else {
-        Rng::new(seed)
-            .fork_named("shard")
-            .fork(vehicle.label())
-            .next_u64()
-    }
-}
-
-/// Run one vehicle's Independent sub-run: restrict the scenario to the
-/// vehicle plus the full infrastructure, run it under its derived seed,
-/// and remap the outcome back into the parent scenario's node-id space.
-fn run_micro_shard(
-    scenario: &Scenario,
-    cfg: &RunConfig,
-    fleet_index: usize,
-    vehicle: NodeId,
-    shard_id: u32,
-) -> RunOutcome {
-    let (sub, mapping) = scenario.with_vehicle_subset(&[vehicle]);
-    // Forward-map the fault plan into the sub-scenario's id space; faults
-    // aimed at vehicles outside this micro-shard drop out.
-    let forward: HashMap<NodeId, NodeId> = mapping.iter().copied().collect();
-    let sub_faults = cfg.faults.remap(|n| forward.get(&n).copied());
-    let sub_cfg = RunConfig {
-        vifi: cfg.vifi.clone(),
-        workload: cfg.workload.clone(),
-        fleet_workloads: if cfg.fleet_workloads.is_empty() {
-            Vec::new()
-        } else {
-            vec![cfg.fleet_workloads[fleet_index % cfg.fleet_workloads.len()].clone()]
-        },
-        duration: cfg.duration,
-        seed: micro_shard_seed(cfg.seed, fleet_index, vehicle),
-        mac: cfg.mac,
-        backplane: cfg.backplane,
-        wired_delay: cfg.wired_delay,
-        shards: 1,
-        shard_mode: cfg.shard_mode,
-        faults: sub_faults,
-        channel: cfg.channel,
-        flat_epochs: cfg.flat_epochs,
-    };
-    let mut out = Simulation::deployment_shard(&sub, sub_cfg, shard_id).run();
-    // Map sub-scenario ids back to the parent's (identity whenever the
-    // scenario lists basestations before vehicles, but never assumed).
-    let back: HashMap<NodeId, NodeId> = mapping.into_iter().map(|(old, new)| (new, old)).collect();
-    let remap = |n: NodeId| *back.get(&n).unwrap_or(&n);
-    out.log.remap_nodes(remap);
-    for v in &mut out.vehicles {
-        v.vehicle = remap(v.vehicle);
-    }
-    out
-}
-
-/// Deterministically merge per-vehicle Independent outcomes (paired with
-/// their fleet index) into one [`RunOutcome`]: vehicles in fleet order,
-/// counters summed, the packet log and primary report taken from the
-/// first vehicle — the same shape a sequential fleet run produces.
-fn merge_shard_outcomes(mut parts: Vec<(usize, RunOutcome)>) -> RunOutcome {
-    assert!(!parts.is_empty(), "sharded run produced no outcomes");
-    parts.sort_by_key(|&(fleet_index, _)| fleet_index);
-    assert_eq!(parts[0].0, 0, "fleet index 0 must be present");
-    let mut vehicles = Vec::with_capacity(parts.len());
-    let mut unroutable_down = 0;
-    let mut salvaged = 0;
-    let mut events = 0;
-    let mut frames_tx = 0;
-    let mut faults = FaultStats::default();
-    let mut log = None;
-    for (fleet_index, part) in parts {
-        debug_assert_eq!(part.vehicles.len(), 1, "micro-shards host one vehicle");
-        unroutable_down += part.unroutable_down;
-        salvaged += part.salvaged;
-        events += part.events;
-        frames_tx += part.frames_tx;
-        faults.absorb(&part.faults);
-        if fleet_index == 0 {
-            log = Some(part.log);
-        }
-        vehicles.extend(part.vehicles);
-    }
-    RunOutcome {
-        report: vehicles[0].report.clone(),
-        anchor_switches: vehicles[0].anchor_switches,
-        unroutable_down,
-        vehicles,
-        salvaged,
-        events,
-        frames_tx,
-        faults,
-        log: log.expect("fleet index 0 carries the packet log"),
-    }
-}
-
-impl Simulation {
-    /// Run `(scenario, cfg)` sharded across up to [`RunConfig::shards`]
-    /// worker threads and return the merged outcome. `shards <= 1` is the
-    /// sequential coupled [`Simulation::run`]; `shards >= 2` decomposes
-    /// per [`RunConfig::shard_mode`] — see the module docs.
-    pub fn run_sharded(scenario: &Scenario, cfg: RunConfig) -> RunOutcome {
-        Self::run_sharded_timed(scenario, cfg).0
-    }
-
-    /// [`Simulation::run_sharded`], also returning per-shard wall-clock
-    /// accounting (one [`ShardTiming`] per non-empty shard; a single
-    /// entry for the sequential `shards <= 1` path). Worker threads are
-    /// capped at the host's available parallelism — extra shards queue on
-    /// the workers rather than oversubscribing cores, so each shard's
-    /// wall-clock measures its own work, not its neighbours' timeslices.
-    /// Coupled-mode timings exclude the serial coordinator share; use
-    /// [`Simulation::run_coupled_timed`] for the full breakdown.
-    pub fn run_sharded_timed(
-        scenario: &Scenario,
-        cfg: RunConfig,
-    ) -> (RunOutcome, Vec<ShardTiming>) {
-        let shards = resolve_shards(cfg.shards);
-        if shards <= 1 {
-            let instrumented = if cfg.fleet_workloads.is_empty() {
-                1
-            } else {
-                scenario.vehicle_ids().len()
-            };
-            let start = Instant::now();
-            let out = Simulation::deployment(scenario, cfg).run();
-            let timing = vec![ShardTiming {
-                shard_id: 0,
-                vehicles: instrumented,
-                wall: start.elapsed(),
-            }];
-            return (out, timing);
-        }
-        match cfg.shard_mode {
-            ShardMode::Independent => Self::run_independent_timed(scenario, cfg),
-            ShardMode::Coupled => {
-                let plan = plan_shards(scenario, &cfg);
-                let (out, timing) = Self::run_coupled_planned(scenario, cfg, None, &plan);
-                let timings = plan
-                    .assignments
-                    .iter()
-                    .zip(&timing.per_shard)
-                    .map(|(a, &wall)| ShardTiming {
-                        shard_id: a.shard_id,
-                        vehicles: a.vehicles.len(),
-                        wall,
-                    })
-                    .collect();
-                (out, timings)
-            }
-        }
-    }
-
-    /// Run one coupled sharded experiment, returning the outcome plus the
-    /// engine's wall-clock breakdown (per-shard epoch work and the serial
-    /// coordinator share). `workers` overrides the worker-thread count —
-    /// `Some(1)` executes every shard on the calling thread, which is how
-    /// the fleet sweep measures honest per-shard walls on small hosts;
-    /// `None` uses one thread per shard up to the host's parallelism
-    /// (floored at two, so the threaded path is really exercised). The
-    /// outcome is bit-identical for every worker count.
-    pub fn run_coupled_timed(
-        scenario: &Scenario,
-        cfg: RunConfig,
-        workers: Option<usize>,
-    ) -> (RunOutcome, CoupledTiming) {
-        let cfg = RunConfig {
-            shard_mode: ShardMode::Coupled,
-            ..cfg
-        };
-        let plan = plan_shards(scenario, &cfg);
-        Self::run_coupled_planned(scenario, cfg, workers, &plan)
-    }
-
-    /// [`Simulation::run_coupled_timed`] with an already-computed plan —
-    /// the planner's contact analysis is not free, so callers that
-    /// needed the plan anyway (e.g. [`Simulation::run_sharded_timed`])
-    /// pass it in instead of replanning.
-    fn run_coupled_planned(
-        scenario: &Scenario,
-        cfg: RunConfig,
-        workers: Option<usize>,
-        plan: &ShardPlan,
-    ) -> (RunOutcome, CoupledTiming) {
-        let partition = EnginePartition {
-            lanes: plan
-                .assignments
-                .iter()
-                .map(|a| {
-                    let mut lane: Vec<NodeId> = a.vehicles.iter().map(|&(_, v)| v).collect();
-                    lane.extend(a.basestations.iter().copied());
-                    lane
-                })
-                .collect(),
-        };
-        let workers = workers.unwrap_or_else(|| {
-            partition.lanes.len().min(
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-                    .max(2),
-            )
-        });
-        let sim = Simulation::deployment(scenario, cfg);
-        let setup = sim.engine_setup(partition, workers);
-        engine::run(setup)
-    }
-
-    /// The Independent-mode parallel executor (PR 4 semantics).
-    fn run_independent_timed(
-        scenario: &Scenario,
-        cfg: RunConfig,
-    ) -> (RunOutcome, Vec<ShardTiming>) {
-        let plan = plan_shards(scenario, &cfg);
-        let busy: Vec<&ShardAssignment> = plan
-            .assignments
-            .iter()
-            .filter(|a| !a.vehicles.is_empty())
-            .collect();
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(busy.len())
-            .max(1);
-        let cfg = &cfg;
-        let mut merged: Vec<(usize, RunOutcome)> = Vec::new();
-        let mut timings: Vec<ShardTiming> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let busy = &busy;
-                    s.spawn(move || {
-                        let mut parts: Vec<(usize, RunOutcome)> = Vec::new();
-                        let mut timings: Vec<ShardTiming> = Vec::new();
-                        let mut i = w;
-                        while i < busy.len() {
-                            let a = busy[i];
-                            let start = Instant::now();
-                            for &(fleet_index, vehicle) in &a.vehicles {
-                                parts.push((
-                                    fleet_index,
-                                    run_micro_shard(
-                                        scenario,
-                                        cfg,
-                                        fleet_index,
-                                        vehicle,
-                                        a.shard_id,
-                                    ),
-                                ));
-                            }
-                            timings.push(ShardTiming {
-                                shard_id: a.shard_id,
-                                vehicles: a.vehicles.len(),
-                                wall: start.elapsed(),
-                            });
-                            i += workers;
-                        }
-                        (parts, timings)
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (parts, t) = h.join().expect("shard worker panicked");
-                merged.extend(parts);
-                timings.extend(t);
-            }
-        });
-        timings.sort_by_key(|t| t.shard_id);
-        (merge_shard_outcomes(merged), timings)
-    }
-
-    /// The sequential reference path of the Independent semantics:
-    /// execute the same per-vehicle decomposition as `shards >= 2`,
-    /// inline on the calling thread, in fleet order. `run_sharded` in
-    /// Independent mode with any shard count `>= 2` is bit-identical to
-    /// this — the equivalence suite pins the parallel executor against it.
-    pub fn run_sharded_sequential(scenario: &Scenario, cfg: RunConfig) -> RunOutcome {
-        let plan = plan_shards(
-            scenario,
-            &RunConfig {
-                shards: 1,
-                shard_mode: ShardMode::Independent,
-                ..cfg.clone()
-            },
-        );
-        let parts: Vec<(usize, RunOutcome)> = plan.assignments[0]
-            .vehicles
-            .iter()
-            .map(|&(fleet_index, vehicle)| {
-                (
-                    fleet_index,
-                    run_micro_shard(scenario, &cfg, fleet_index, vehicle, 0),
-                )
-            })
-            .collect();
-        merge_shard_outcomes(parts)
     }
 }
 
@@ -1360,40 +1006,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_plan_partitions_instrumented_vehicles() {
-        let s = vanlan(1);
-        // Non-fleet Independent mode: one micro-shard (the instrumented
-        // vehicle).
-        let cfg = quick_cfg(WorkloadSpec::paper_cbr(), 10, 1);
-        let plan = plan_shards(&s, &RunConfig { shards: 4, ..cfg });
-        assert_eq!(plan.assignments.len(), 4);
-        assert_eq!(plan.vehicles(), 1);
-        assert_eq!(plan.assignments[0].vehicles, vec![(0, s.vehicle_ids()[0])]);
-        assert!(plan.assignments.iter().all(|a| a.basestations.is_empty()));
-        // Fleet mode: every vehicle, round-robin.
-        let s = vanlan(5);
-        let cfg = RunConfig {
-            fleet_workloads: vec![WorkloadSpec::paper_cbr()],
-            shards: 2,
-            ..quick_cfg(WorkloadSpec::Idle, 10, 1)
-        };
-        let plan = plan_shards(&s, &cfg);
-        assert_eq!(plan.vehicles(), 5);
-        let vs = s.vehicle_ids();
-        assert_eq!(
-            plan.assignments[0].vehicles,
-            vec![(0, vs[0]), (2, vs[2]), (4, vs[4])]
-        );
-        assert_eq!(plan.assignments[1].vehicles, vec![(1, vs[1]), (3, vs[3])]);
-    }
-
-    #[test]
     fn coupled_plan_covers_every_node_exactly_once() {
         let s = vanlan(4);
         let cfg = RunConfig {
             fleet_workloads: vec![WorkloadSpec::paper_cbr()],
             shards: 3,
-            shard_mode: ShardMode::Coupled,
             ..quick_cfg(WorkloadSpec::Idle, 10, 1)
         };
         let plan = plan_shards(&s, &cfg);
@@ -1401,7 +1018,7 @@ mod tests {
         let mut vehicles: Vec<NodeId> = plan
             .assignments
             .iter()
-            .flat_map(|a| a.vehicles.iter().map(|&(_, v)| v))
+            .flat_map(|a| a.vehicles.iter().copied())
             .collect();
         vehicles.sort_by_key(|n| n.index());
         assert_eq!(vehicles, s.vehicle_ids(), "all vehicles, background too");
@@ -1432,14 +1049,14 @@ mod tests {
         };
         let sequential = Simulation::deployment(&s, cfg.clone()).run().fingerprint();
         for shards in [2usize, 3] {
-            let coupled = Simulation::run_sharded(
+            let coupled = Simulation::deployment(
                 &s,
                 RunConfig {
                     shards,
-                    shard_mode: ShardMode::Coupled,
                     ..cfg.clone()
                 },
             )
+            .run()
             .fingerprint();
             assert_eq!(coupled, sequential, "shards={shards}");
         }
@@ -1458,19 +1075,20 @@ mod tests {
     #[test]
     fn single_vehicle_sharded_is_bit_identical_to_sequential() {
         // The paper's setup (one instrumented vehicle) under any shard
-        // count replays the sequential run exactly: the sub-scenario is
-        // the scenario and micro-shard 0 keeps the run seed.
+        // count replays the sequential run exactly, even with shards left
+        // holding basestations only.
         let s = vanlan(1);
         let cfg = quick_cfg(WorkloadSpec::paper_cbr(), 40, 9);
         let sequential = Simulation::deployment(&s, cfg.clone()).run();
         for shards in [2usize, 3] {
-            let sharded = Simulation::run_sharded(
+            let sharded = Simulation::deployment(
                 &s,
                 RunConfig {
                     shards,
                     ..cfg.clone()
                 },
-            );
+            )
+            .run();
             assert_eq!(
                 sharded.fingerprint(),
                 sequential.fingerprint(),
@@ -1487,7 +1105,7 @@ mod tests {
             shards: 2,
             ..quick_cfg(WorkloadSpec::Idle, 30, 4)
         };
-        let (out, timings) = Simulation::run_sharded_timed(&s, cfg);
+        let out = Simulation::deployment(&s, cfg).run();
         assert_eq!(out.vehicles.len(), 3);
         let ids: Vec<NodeId> = out.vehicles.iter().map(|v| v.vehicle).collect();
         assert_eq!(ids, s.vehicle_ids(), "merged outcomes in vehicle order");
@@ -1502,9 +1120,6 @@ mod tests {
             out.unroutable_down,
             out.vehicles.iter().map(|v| v.unroutable_down).sum::<u64>()
         );
-        // Two non-empty shards: 2 vehicles + 1 vehicle.
-        assert_eq!(timings.len(), 2);
-        assert_eq!(timings[0].vehicles + timings[1].vehicles, 3);
     }
 
     #[test]
@@ -1516,20 +1131,12 @@ mod tests {
                 shards,
                 ..quick_cfg(WorkloadSpec::Idle, 30, 6)
             };
-            Simulation::run_sharded(&s, cfg).fingerprint()
+            Simulation::deployment(&s, cfg).run().fingerprint()
         };
-        let sequential_plan = Simulation::run_sharded_sequential(
-            &s,
-            RunConfig {
-                fleet_workloads: vec![WorkloadSpec::paper_cbr()],
-                ..quick_cfg(WorkloadSpec::Idle, 30, 6)
-            },
-        )
-        .fingerprint();
         let two = run(2);
         assert_eq!(two, run(3));
         assert_eq!(two, run(8), "more shards than vehicles");
-        assert_eq!(two, sequential_plan, "parallel == sequential plan");
+        assert_eq!(two, run(1), "sharded == sequential");
     }
 
     #[test]

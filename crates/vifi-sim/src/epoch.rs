@@ -1,7 +1,7 @@
 //! Conservative synchronization for sharded coupled runs.
 //!
-//! The contention-preserving parallel mode (`vifi-runtime`'s
-//! `ShardMode::Coupled`) executes one simulation as a set of shards that
+//! A sharded coupled run (`vifi-runtime`'s `Simulation` at
+//! `shards >= 2`) executes one simulation as a set of shards that
 //! advance in lock-step **epochs**: every shard runs its own event queue
 //! up to the next epoch boundary, then all shards meet at a barrier where
 //! the shared services (medium, backplane, wired hand-offs) resolve the
@@ -18,6 +18,8 @@
 //!   parallel coupled run. Between waits, worker 0 acts as the
 //!   coordinator and performs the serial barrier work; the barrier itself
 //!   never touches simulation state, so it cannot perturb determinism.
+//!   A worker that panics [poisons](EpochBarrier::poison) it, so its
+//!   peers panic too instead of waiting forever.
 //!
 //! Determinism contract: the schedule is a pure function of its inputs
 //! (never of the shard partition or worker count), and the barrier is
@@ -298,12 +300,17 @@ impl HierarchicalSchedule {
     }
 }
 
+/// The panic payload of a barrier wait that a poisoned barrier aborts.
+pub const PEER_PANICKED: &str = "peer worker panicked";
+
 /// State shared by the participants of an [`EpochBarrier`].
 struct BarrierState {
     /// Participants that have arrived in the current generation.
     arrived: usize,
     /// Generation counter; bumped when the last participant arrives.
     generation: u64,
+    /// Set by [`EpochBarrier::poison`]; never cleared.
+    poisoned: bool,
 }
 
 /// A reusable N-participant rendezvous for coupled-run worker threads.
@@ -327,6 +334,7 @@ impl EpochBarrier {
             state: Mutex::new(BarrierState {
                 arrived: 0,
                 generation: 0,
+                poisoned: false,
             }),
             cv: Condvar::new(),
         }
@@ -340,21 +348,46 @@ impl EpochBarrier {
     /// Block until all participants have called `wait` for this
     /// generation. Returns `true` on exactly one participant per
     /// generation (the last to arrive).
+    ///
+    /// # Panics
+    ///
+    /// With the payload [`PEER_PANICKED`] once the barrier is poisoned:
+    /// a participant blocked here is woken to panic, and every later
+    /// call panics at once.
     pub fn wait(&self) -> bool {
-        let mut st = self.state.lock().expect("barrier poisoned");
-        st.arrived += 1;
-        if st.arrived == self.participants {
-            st.arrived = 0;
-            st.generation = st.generation.wrapping_add(1);
-            self.cv.notify_all();
-            true
-        } else {
-            let gen = st.generation;
-            while st.generation == gen {
-                st = self.cv.wait(st).expect("barrier poisoned");
+        let mut st = self.state.lock().expect("barrier lock");
+        if !st.poisoned {
+            st.arrived += 1;
+            if st.arrived == self.participants {
+                st.arrived = 0;
+                st.generation = st.generation.wrapping_add(1);
+                self.cv.notify_all();
+                return true;
             }
-            false
+            let gen = st.generation;
+            while st.generation == gen && !st.poisoned {
+                st = self.cv.wait(st).expect("barrier lock");
+            }
+            if st.generation != gen {
+                return false;
+            }
         }
+        // Release the lock before unwinding so `poison` stays callable.
+        drop(st);
+        std::panic::panic_any(PEER_PANICKED)
+    }
+
+    /// Mark the barrier dead: a participant panicked and will never
+    /// arrive. Wakes every blocked [`Self::wait`]; they and all later
+    /// waits panic with [`PEER_PANICKED`]. Threaded executors call this
+    /// from a drop guard while a worker unwinds.
+    pub fn poison(&self) {
+        let mut st = self
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        st.poisoned = true;
+        self.cv.notify_all();
     }
 }
 
@@ -412,6 +445,15 @@ impl NestedEpochBarrier {
     /// exactly one participant overall (the global leader).
     pub fn wait_global(&self) -> bool {
         self.global.wait()
+    }
+
+    /// [`EpochBarrier::poison`] the global barrier and every cluster
+    /// barrier, so no participant stays blocked on either level.
+    pub fn poison(&self) {
+        self.global.poison();
+        for c in &self.clusters {
+            c.poison();
+        }
     }
 }
 
@@ -650,6 +692,82 @@ mod tests {
         assert!(b.wait());
         assert!(b.wait());
         assert_eq!(b.participants(), 1);
+    }
+
+    /// Three participants loop on `wait` on a watchdog thread; participant
+    /// 0 panics in its third round and poisons the barrier while
+    /// unwinding, as the engine's drop guard does. Returns each
+    /// participant's panic message, or fails if the survivors are still
+    /// blocked after 10 s.
+    fn panic_messages<B: Send + Sync + 'static>(
+        barrier: B,
+        wait: fn(&B, usize),
+        poison: fn(&B),
+    ) -> Vec<String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let barrier = &barrier;
+            let messages: Vec<String> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..3)
+                    .map(|p| {
+                        s.spawn(move || {
+                            let body = std::panic::AssertUnwindSafe(|| {
+                                for round in 0.. {
+                                    if p == 0 && round == 2 {
+                                        panic!("injected");
+                                    }
+                                    wait(barrier, p);
+                                }
+                            });
+                            if let Err(payload) = std::panic::catch_unwind(body) {
+                                poison(barrier);
+                                std::panic::resume_unwind(payload);
+                            }
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| {
+                        let payload = h.join().expect_err("every participant panics");
+                        payload
+                            .downcast_ref::<&str>()
+                            .map(|m| m.to_string())
+                            .unwrap_or_default()
+                    })
+                    .collect()
+            });
+            tx.send(messages).expect("watchdog is listening");
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("survivors stayed blocked at the barrier after a peer panicked")
+    }
+
+    #[test]
+    fn poisoned_barrier_wakes_the_survivors_of_a_panicking_worker() {
+        let expected = ["injected", PEER_PANICKED, PEER_PANICKED];
+        // Flat: every participant meets at one barrier.
+        let flat = panic_messages(
+            EpochBarrier::new(3),
+            |b, _| {
+                b.wait();
+            },
+            EpochBarrier::poison,
+        );
+        assert_eq!(flat, expected);
+        // Nested: each round crosses the participant's cluster barrier,
+        // then the global one. Participant 1 is left blocked at cluster
+        // 0's barrier; participant 2, alone in cluster 1, at the global
+        // barrier.
+        let nested = panic_messages(
+            NestedEpochBarrier::new(&[2, 1]),
+            |b, p| {
+                b.wait_cluster(p / 2);
+                b.wait_global();
+            },
+            NestedEpochBarrier::poison,
+        );
+        assert_eq!(nested, expected);
     }
 
     /// A two-cluster hierarchy with disjoint activity: cluster 0 is busy

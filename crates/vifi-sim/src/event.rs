@@ -30,11 +30,14 @@ use crate::time::SimTime;
 /// generation wrap-around — four billion reuses of one slot — which no
 /// simulated workload approaches).
 ///
-/// The shard id makes tokens from different queues of a sharded run
-/// distinct values: two shards may hand out the same `(slot, generation)`
-/// pair, but the stamped shard keeps them unequal under `Eq`/`Hash`, and
-/// [`EventQueue::cancel`] treats a foreign-shard token as inert rather
-/// than (mis)interpreting its slot against the wrong side table.
+/// The shard id makes tokens from different engine lanes distinct
+/// values: every lane of a sharded run owns its own queue, two lanes may
+/// hand out the same `(slot, generation)` pair, but the stamped shard
+/// keeps them unequal under `Eq`/`Hash`, and [`EventQueue::cancel`]
+/// treats a foreign-lane token as inert rather than (mis)interpreting its
+/// slot against the wrong side table — which would silently cancel an
+/// unrelated event. The stamp is there to make such a bug harmless and
+/// detectable, not for any one execution mode.
 ///
 /// Cost, measured and accepted: widening the token 8 → 12 bytes plus the
 /// cancel-path shard compare moved `event_queue_churn_1k` by ≈ +12%
@@ -95,9 +98,9 @@ pub struct EventQueue<E> {
     free_slots: Vec<u32>,
     /// Number of live (scheduled, not yet fired or cancelled) events.
     live: usize,
-    /// Shard identity stamped into every issued token. Sharded runs give
-    /// each worker its own queue under a distinct shard id so tokens can
-    /// never be confused across shards.
+    /// Shard identity stamped into every issued token. Each engine lane
+    /// owns its own queue under a distinct shard id so tokens can never
+    /// be confused across lanes.
     shard: u32,
 }
 

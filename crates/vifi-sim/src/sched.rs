@@ -29,7 +29,7 @@ impl<E> Scheduler<E> {
 
     /// Create a scheduler whose queue is owned by shard `shard`: every
     /// token it issues is stamped with the shard id, so sharded runs that
-    /// drive one scheduler per worker can never cancel across shards (see
+    /// drive one scheduler per engine lane can never cancel across lanes (see
     /// [`crate::TimerToken`]). The shard id has no effect on event
     /// ordering — a run is bit-identical under any shard id.
     pub fn with_shard(shard: u32) -> Self {

@@ -14,17 +14,16 @@
 //! 3. The fold's working set is bounded by packets in flight, not run
 //!    length: quadrupling the horizon grows records ~linearly but leaves
 //!    the pending high-water mark flat.
-//! 4. `RunLog::remap_nodes` through a bijection round-trips (property
-//!    test), and a remapped log's binary trace still reconstructs it
-//!    exactly.
+//! 4. The binary trace of a log built from a random op script
+//!    reconstructs it exactly (property test).
 
 use proptest::prelude::*;
 use vifi::core::{Direction, PacketId};
 use vifi::faults::FaultPlan;
 use vifi::phy::NodeId;
 use vifi::runtime::{
-    read_stream, Fingerprintable, PerfectRelayOutcome, RunConfig, RunLog, ShardMode, Simulation,
-    StreamFold, Table1, WorkloadSpec,
+    read_stream, Fingerprintable, PerfectRelayOutcome, RunConfig, RunLog, Simulation, StreamFold,
+    Table1, WorkloadSpec,
 };
 use vifi::sim::{SimDuration, SimTime};
 use vifi::testbeds::{dieselnet_fleet, vanlan, Scenario};
@@ -43,7 +42,6 @@ fn fleet_cfg(scenario: &Scenario, seed: u64, shards: usize, secs: u64, faulted: 
         duration,
         seed,
         shards,
-        shard_mode: ShardMode::Coupled,
         faults: if faulted {
             FaultPlan::synthesize(
                 0.6,
@@ -145,7 +143,7 @@ fn binary_trace_matches_in_memory_across_fleets_and_shards() {
         for faulted in [false, true] {
             for shards in [1usize, 2, 4] {
                 let cfg = fleet_cfg(&scenario, 42, shards, 10, faulted);
-                let outcome = Simulation::run_sharded(&scenario, cfg);
+                let outcome = Simulation::deployment(&scenario, cfg).run();
                 let label = format!("{name} faulted={faulted} shards={shards}");
                 assert_stream_equivalence(&label, &outcome.log);
             }
@@ -180,7 +178,7 @@ fn fold_working_set_stays_flat_as_horizon_grows() {
 }
 
 // ---------------------------------------------------------------------
-// remap_nodes: bijection round-trip + binary-stream equivalence
+// Scripted logs: binary-stream equivalence
 // ---------------------------------------------------------------------
 
 /// Build a log from a compact op script so proptest can explore record
@@ -219,43 +217,13 @@ fn build_log(ops: &[(u8, u32, u64, bool)]) -> RunLog {
 
 proptest! {
     #[test]
-    fn remap_bijection_roundtrips(
+    fn scripted_log_streams_bit_identically(
         ops in proptest::collection::vec(
             (any::<u8>(), 0u32..16, 0u64..64, any::<bool>()),
             1..40,
         ),
-        shift in 1u32..1000,
     ) {
-        let mut log = build_log(&ops);
-        let original = log.fingerprint();
-        // `x ↦ x + shift` is a bijection on the label range we use, with
-        // inverse `x ↦ x - shift`.
-        log.remap_nodes(|n| NodeId(n.0 + shift));
-        let remapped = log.fingerprint();
-        // An op script with no source transmissions leaves the record
-        // vector empty, and an id-free log is remap-invariant by design.
-        prop_assert!(
-            log.records.is_empty() || remapped != original,
-            "remap through a non-identity bijection must move the \
-             fingerprint (node ids are part of every record digest)"
-        );
-        log.remap_nodes(|n| NodeId(n.0 - shift));
-        prop_assert!(
-            log.fingerprint() == original,
-            "bijection followed by its inverse must restore the log exactly"
-        );
-    }
-
-    #[test]
-    fn remapped_log_streams_bit_identically(
-        ops in proptest::collection::vec(
-            (any::<u8>(), 0u32..16, 0u64..64, any::<bool>()),
-            1..40,
-        ),
-        shift in 0u32..1000,
-    ) {
-        let mut log = build_log(&ops);
-        log.remap_nodes(|n| NodeId(n.0 + shift));
+        let log = build_log(&ops);
         let bytes = log.write_binary(Vec::new()).expect("serialize");
         let mut rebuilt = RunLog::new();
         read_stream(&bytes[..], &mut rebuilt).expect("replay");
