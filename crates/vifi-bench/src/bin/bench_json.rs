@@ -34,7 +34,7 @@ use vifi_phy::pathloss::{ShadowField, ShadowSampler};
 use vifi_phy::{GilbertElliott, NodeId, Point};
 use vifi_runtime::{read_stream, RunConfig, RunLog, Simulation, StreamFold, WorkloadSpec};
 use vifi_sim::{EventQueue, Rng, SimDuration, SimTime};
-use vifi_testbeds::{dieselnet_fleet, metro, vanlan};
+use vifi_testbeds::{dieselnet_fleet, metro, vanlan, AnalysisSpec, ScenarioAnalysis};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -239,6 +239,27 @@ fn bench_fleet(h: &mut Harness) {
         )
         .0
         .events
+    });
+    // One scenario analysis of metro(4, 16): the contact clusters, the
+    // activity schedules of a 15 s run and the planner's contact weights
+    // from the single grid sweep a sharded run makes before its first
+    // epoch. Gates that setup work apart from the engine.
+    let analysis_scenario = metro(4, 16, 7);
+    let analysis_link = analysis_scenario.build_link_model(&Rng::new(7));
+    let analysis_spec = AnalysisSpec {
+        clusters: true,
+        contact_min_prob: Some(0.1),
+        horizon_s: 16,
+        margin_s: 2,
+    };
+    h.bench("scenario_analysis_metro_4x16", || {
+        ScenarioAnalysis::new(
+            &analysis_scenario,
+            &analysis_link,
+            std::hint::black_box(&analysis_spec),
+        )
+        .clusters()
+        .len()
     });
 }
 

@@ -35,7 +35,7 @@ use vifi_faults::FaultPlan;
 use vifi_runtime::workload::aggregate_cbr;
 use vifi_runtime::{RunConfig, RunOutcome, Simulation, WorkloadSpec};
 use vifi_sim::{Rng, SimDuration};
-use vifi_testbeds::{dieselnet_fleet, metro, vanlan, Scenario};
+use vifi_testbeds::{dieselnet_fleet, metro, vanlan, AnalysisSpec, Scenario, ScenarioAnalysis};
 
 /// Fleet sizes of the sweep (the acceptance grid).
 const FLEET_SIZES: [u32; 4] = [2, 4, 8, 16];
@@ -109,6 +109,14 @@ fn sweep_testbed(
         // Per-vehicle breakdown from the first seed; contact fractions
         // from the scenario itself (sampled over one lap).
         let link = scenario.build_link_model(&Rng::new(1000));
+        let contact = ScenarioAnalysis::new(
+            &scenario,
+            &link,
+            &AnalysisSpec {
+                contact_min_prob: Some(0.1),
+                ..AnalysisSpec::default()
+            },
+        );
         let lap_s = scenario.lap.as_secs().max(1) as f64;
         let per_vehicle: Vec<VehicleRow> = outs[0]
             .vehicles
@@ -116,8 +124,7 @@ fn sweep_testbed(
             .map(|v| {
                 let c = v.report.as_cbr().expect("CBR fleet");
                 let ratios = c.combined_ratios(SimDuration::from_secs(1), duration);
-                let windows = scenario.contact_windows(v.vehicle, &link, 0.1);
-                let covered: u64 = windows.iter().map(|(a, b)| b - a).sum();
+                let covered = contact.contact_seconds(v.vehicle);
                 VehicleRow {
                     name: scenario.node(v.vehicle).name.clone(),
                     sent: c.total_sent(),

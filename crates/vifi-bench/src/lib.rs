@@ -632,6 +632,7 @@ mod tests {
                 Duration::from_millis(35),
             ],
             serial: Duration::from_millis(10),
+            schedule: vifi_runtime::ScheduleMode::Flat,
         };
         let row = CoupledScalingRow::from_timing(3, &timing, 130.0);
         assert_eq!(row.per_shard_wall_ms, vec![40.0, 55.0, 35.0]);

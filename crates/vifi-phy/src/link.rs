@@ -114,7 +114,9 @@ pub struct PhysicalLinkModel {
     gray_params: GrayParams,
     ge_params: GeParams,
     nodes: Vec<(NodeId, NodeKind)>,
-    mobility: HashMap<NodeId, MobilitySource>,
+    /// Kind and motion of every registered node, indexed by id: the
+    /// per-frame paths look both up in O(1).
+    slots: Vec<Option<(NodeKind, MobilitySource)>>,
     links: HashMap<(NodeId, NodeId), LinkState>,
     master: Rng,
     sampler: Rng,
@@ -133,7 +135,7 @@ impl PhysicalLinkModel {
             gray_params: GrayParams::default(),
             ge_params: GeParams::default(),
             nodes: Vec::new(),
-            mobility: HashMap::new(),
+            slots: Vec::new(),
             links: HashMap::new(),
             master,
             sampler,
@@ -155,9 +157,20 @@ impl PhysicalLinkModel {
 
     /// Register a node. Panics on duplicate ids.
     pub fn add_node(&mut self, id: NodeId, kind: NodeKind, mobility: MobilitySource) {
-        assert!(!self.mobility.contains_key(&id), "duplicate node {id:?}");
+        if self.slots.len() <= id.index() {
+            self.slots.resize_with(id.index() + 1, || None);
+        }
+        let slot = &mut self.slots[id.index()];
+        assert!(slot.is_none(), "duplicate node {id:?}");
+        *slot = Some((kind, mobility));
         self.nodes.push((id, kind));
-        self.mobility.insert(id, mobility);
+    }
+
+    fn slot(&self, id: NodeId) -> &(NodeKind, MobilitySource) {
+        self.slots
+            .get(id.index())
+            .and_then(Option::as_ref)
+            .unwrap_or_else(|| panic!("unknown node {id:?}"))
     }
 
     /// The radio parameters in use.
@@ -167,19 +180,12 @@ impl PhysicalLinkModel {
 
     /// Position of a node at `t`. Panics on unknown node.
     pub fn position(&self, id: NodeId, t: SimTime) -> Point {
-        self.mobility
-            .get(&id)
-            .unwrap_or_else(|| panic!("unknown node {id:?}"))
-            .position_at(t)
+        self.slot(id).1.position_at(t)
     }
 
     /// Kind of a node. Panics on unknown node.
     pub fn kind(&self, id: NodeId) -> NodeKind {
-        self.nodes
-            .iter()
-            .find(|(n, _)| *n == id)
-            .map(|(_, k)| *k)
-            .unwrap_or_else(|| panic!("unknown node {id:?}"))
+        self.slot(id).0
     }
 
     fn tx_power_dbm(&self, id: NodeId) -> f64 {
@@ -205,11 +211,21 @@ impl PhysicalLinkModel {
     /// link midpoint to sample the shadow field at: `None` when the link
     /// is wired or beyond the radio horizon.
     fn link_geometry(&self, tx: NodeId, rx: NodeId, now: SimTime) -> Option<(f64, Point)> {
+        self.link_geometry_at(tx, rx, self.position(tx, now), self.position(rx, now))
+    }
+
+    /// [`Self::link_geometry`] with the endpoints already placed at `pt`
+    /// and `pr`.
+    fn link_geometry_at(
+        &self,
+        tx: NodeId,
+        rx: NodeId,
+        pt: Point,
+        pr: Point,
+    ) -> Option<(f64, Point)> {
         if matches!(self.kind(tx), NodeKind::Wired) || matches!(self.kind(rx), NodeKind::Wired) {
             return None;
         }
-        let pt = self.position(tx, now);
-        let pr = self.position(rx, now);
         let d = pt.distance(pr);
         if d > self.params.max_range_m {
             return None;
@@ -218,16 +234,6 @@ impl PhysicalLinkModel {
             self.tx_power_dbm(tx) - self.params.path_loss_db(d),
             pt.lerp(pr, 0.5),
         ))
-    }
-
-    /// Received power before dynamic fades, dBm: path loss at the current
-    /// distance plus shadowing sampled at the link midpoint (so it evolves
-    /// as the vehicle moves). Pure peek — used by the `&self` quality
-    /// paths; the `&mut` sampling paths go through the per-link
-    /// [`ShadowSampler`] instead.
-    fn static_rx_power_dbm(&self, tx: NodeId, rx: NodeId, now: SimTime) -> Option<f64> {
-        let (rxp, mid) = self.link_geometry(tx, rx, now)?;
-        Some(rxp + self.shadow_field(tx, rx).sample_db(mid))
     }
 
     fn link_state(&mut self, tx: NodeId, rx: NodeId) -> &mut LinkState {
@@ -250,10 +256,21 @@ impl PhysicalLinkModel {
     /// Slow-scale delivery probability (path loss + shadow only), a pure
     /// function of geometry; does not advance fades.
     pub fn slow_prob(&self, tx: NodeId, rx: NodeId, now: SimTime) -> f64 {
-        match self.static_rx_power_dbm(tx, rx, now) {
+        self.slow_prob_at(tx, rx, self.position(tx, now), self.position(rx, now))
+    }
+
+    /// [`Self::slow_prob`] with the endpoints already placed: `pt` and
+    /// `pr` are where `tx` and `rx` are at the instant of interest.
+    /// Callers that sweep many pairs at one instant compute each
+    /// position once and get bit-identical answers. Path loss at the
+    /// distance plus shadowing sampled at the link midpoint; 0 for wired
+    /// nodes and beyond [`RadioParams::max_range_m`].
+    pub fn slow_prob_at(&self, tx: NodeId, rx: NodeId, pt: Point, pr: Point) -> f64 {
+        match self.link_geometry_at(tx, rx, pt, pr) {
             None => 0.0,
-            Some(rxp) => {
-                let snr = rxp - self.params.noise_floor_dbm;
+            Some((rxp, mid)) => {
+                let snr =
+                    rxp + self.shadow_field(tx, rx).sample_db(mid) - self.params.noise_floor_dbm;
                 self.params.delivery_prob_from_snr(snr)
             }
         }

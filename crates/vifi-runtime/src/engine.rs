@@ -60,7 +60,7 @@ use vifi_sim::{
 };
 
 use crate::logging::{LogSink, RunLog};
-use crate::sim::{FaultStats, RunConfig, RunOutcome, VehicleOutcome};
+use crate::sim::{FaultStats, RunConfig, RunOutcome, ScheduleMode, VehicleOutcome};
 use crate::workload::{build_driver, Driver, HostApi, HostCmd};
 
 /// A link model the engine can hand to worker threads.
@@ -322,6 +322,8 @@ pub struct CoupledTiming {
     pub per_shard: Vec<Duration>,
     /// Serial coordinator wall-clock (placement, backplane, routing).
     pub serial: Duration,
+    /// The epoch schedule the run synchronized on, and why.
+    pub schedule: ScheduleMode,
 }
 
 impl CoupledTiming {
@@ -356,6 +358,8 @@ pub(crate) struct EngineSetup {
     /// in exactly one cluster, clusters radio-disjoint. Empty when the
     /// run is flat.
     pub clusters: Vec<Vec<NodeId>>,
+    /// The schedule decision behind `hierarchy`, reported in the timing.
+    pub mode: ScheduleMode,
     pub partition: EnginePartition,
     /// Worker threads to execute the shards on (clamped to shard count).
     pub workers: usize,
@@ -470,6 +474,8 @@ struct Engine {
     /// the cluster machinery. `None` runs the flat single-level barrier
     /// loop, byte-for-byte the pre-hierarchy engine.
     hierarchy: Option<HierarchicalSchedule>,
+    /// The schedule decision, reported in the run's timing.
+    mode: ScheduleMode,
     /// Which cluster owns each node (nested mode only).
     cluster_of: HashMap<NodeId, usize>,
     /// Per-cluster radio runtimes (nested mode only).
@@ -488,6 +494,7 @@ impl Engine {
             schedule,
             hierarchy,
             clusters,
+            mode,
             partition,
             workers,
         } = setup;
@@ -658,6 +665,7 @@ impl Engine {
             faulted,
             rng,
             hierarchy,
+            mode,
             cluster_of,
             cluster_rts,
             cluster_shards,
@@ -2232,6 +2240,7 @@ impl Engine {
         let timing = CoupledTiming {
             per_shard: shards.iter().map(|s| s.wall).collect(),
             serial: coord.serial_wall,
+            schedule: self.mode,
         };
         let outcome = RunOutcome {
             report: vehicles_out[0].report.clone(),

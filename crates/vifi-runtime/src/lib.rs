@@ -96,7 +96,7 @@ pub use engine::CoupledTiming;
 pub use fingerprint::{Fingerprint, Fingerprintable};
 pub use logging::{LogSink, PerfectRelayOutcome, RunLog, Table1, Table2Row};
 pub use sim::{
-    plan_shards, FaultStats, RunConfig, RunOutcome, ShardAssignment, ShardMode, ShardPlan,
-    Simulation, VehicleOutcome,
+    plan_shards, FaultStats, RunConfig, RunOutcome, ScheduleMode, ShardAssignment, ShardMode,
+    ShardPlan, Simulation, VehicleOutcome,
 };
 pub use workload::{aggregate_cbr, CbrStats, TcpStats, VoipStats, WorkloadReport, WorkloadSpec};

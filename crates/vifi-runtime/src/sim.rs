@@ -15,9 +15,9 @@
 //! one lane on the calling thread, and more shards split the same run
 //! across worker threads with bit-identical results. Epoch boundaries
 //! come from an [`vifi_sim::EpochSchedule`] whose lookahead is derived
-//! from [`Scenario::contact_windows`]-style activity analysis plus the
-//! beacon period: while the whole fleet is out of radio contact, lanes
-//! run free on a stretched quantum.
+//! from the scenario's radio activity ([`ScenarioAnalysis`], built once
+//! per run) plus the beacon period: while the whole fleet is out of radio
+//! contact, lanes run free on a stretched quantum.
 //!
 //! ## Fleet runs
 //!
@@ -36,7 +36,8 @@
 //! [`RunConfig::shards`] splits the *one* coupled run across engine
 //! lanes: [`plan_shards`] partitions the vehicles by contact load
 //! ([`Scenario::shard_partition_by_contact`]) and the basestations by
-//! contact-seconds ([`Scenario::bs_contact_seconds`]).
+//! contact-seconds ([`Scenario::bs_contact_seconds`]), both read off the
+//! same [`ScenarioAnalysis`] the engine schedules by.
 //! [`Simulation::run`] picks the worker-thread count itself;
 //! [`Simulation::run_coupled_timed`] takes it as an override and also
 //! returns the engine's wall-clock breakdown. Both keep the paper's full
@@ -49,10 +50,10 @@ use std::collections::HashMap;
 use vifi_core::VifiConfig;
 use vifi_faults::{ChannelOverrides, FaultPlan};
 use vifi_mac::{BackplaneParams, MacParams};
-use vifi_phy::{NodeId, NodeKind, PhysicalLinkModel};
+use vifi_phy::{NodeId, NodeKind};
 use vifi_sim::{EpochSchedule, HierarchicalSchedule, Rng, SimDuration};
 use vifi_testbeds::trace::TraceSimSetup;
-use vifi_testbeds::{BeaconTrace, Scenario};
+use vifi_testbeds::{lpt_assign, AnalysisSpec, BeaconTrace, Scenario, ScenarioAnalysis};
 
 use crate::engine::{self, CoupledTiming, EnginePartition, EngineSetup};
 use crate::fingerprint::{Fingerprint, Fingerprintable};
@@ -307,17 +308,37 @@ impl Simulation {
         1 + cfg.vifi.beacon_period.as_secs().max(1)
     }
 
+    /// What the run needs to know about its scenario's radio geometry:
+    /// contact clusters (unless forced flat), activity over the horizon,
+    /// and, when `planning`, the shard planner's contact weights.
+    fn analysis_spec(cfg: &RunConfig, planning: bool) -> AnalysisSpec {
+        AnalysisSpec {
+            clusters: !cfg.flat_epochs,
+            contact_min_prob: planning.then_some(PLAN_MIN_PROB),
+            horizon_s: cfg.duration.as_secs() + 1,
+            margin_s: Self::activity_margin_s(cfg),
+        }
+    }
+
     /// Build the engine inputs for this simulation under `partition`.
-    fn engine_setup(&self, partition: EnginePartition, workers: usize) -> EngineSetup {
+    /// Deployment runs pass their scenario's `analysis`.
+    fn engine_setup(
+        &self,
+        partition: EnginePartition,
+        workers: usize,
+        analysis: Option<ScenarioAnalysis>,
+    ) -> EngineSetup {
         let cfg = self.cfg.clone();
-        let horizon_s = cfg.duration.as_secs() + 1;
         let margin = Self::activity_margin_s(&cfg);
         let channel = cfg.channel;
         match &self.kind {
             SimKind::Deployment { scenario } => {
-                let probe = scenario.build_link_model(&Rng::new(cfg.seed));
-                let active = scenario.active_seconds(&probe, horizon_s, margin);
-                let schedule = EpochSchedule::new(SYNC_QUANTUM, QUIET_QUANTUM, active);
+                let analysis = analysis.expect("deployment runs are analysed");
+                let schedule = EpochSchedule::new(
+                    SYNC_QUANTUM,
+                    QUIET_QUANTUM,
+                    analysis.active_seconds().to_vec(),
+                );
                 // Multi-cluster scenarios synchronize hierarchically: a
                 // per-cluster fine schedule derived from the cluster's
                 // own contact activity, coarse rendezvous fleet-wide.
@@ -325,24 +346,17 @@ impl Simulation {
                 // so the sequential run takes the same nested path as
                 // every sharded run — bit-identity is by construction,
                 // not by accident.
-                let decomposition = scenario.contact_clusters(&probe);
-                let nested =
-                    !cfg.flat_epochs && decomposition.len() >= 2 && decomposition.len() <= 64;
-                let (hierarchy, clusters) = if nested {
-                    let actives = decomposition
-                        .iter()
-                        .map(|c| scenario.cluster_active_seconds(&probe, horizon_s, margin, c))
-                        .collect();
-                    (
+                let mode = ScheduleMode::choose(cfg.flat_epochs, analysis.clusters().len());
+                let (hierarchy, clusters) = match mode {
+                    ScheduleMode::Nested { .. } => (
                         Some(HierarchicalSchedule::new(
                             SYNC_QUANTUM,
                             QUIET_QUANTUM,
-                            actives,
+                            analysis.cluster_active_seconds().to_vec(),
                         )),
-                        decomposition,
-                    )
-                } else {
-                    (None, Vec::new())
+                        analysis.clusters().to_vec(),
+                    ),
+                    ScheduleMode::Flat | ScheduleMode::FlatFallback { .. } => (None, Vec::new()),
                 };
                 let scenario = scenario.clone();
                 let seed = cfg.seed;
@@ -362,6 +376,7 @@ impl Simulation {
                     schedule,
                     hierarchy,
                     clusters,
+                    mode,
                     partition,
                     workers,
                     cfg,
@@ -399,6 +414,7 @@ impl Simulation {
                     schedule,
                     hierarchy: None,
                     clusters: Vec::new(),
+                    mode: ScheduleMode::Flat,
                     partition,
                     workers,
                     cfg,
@@ -448,21 +464,32 @@ impl Simulation {
 
     /// The one run driver behind both entry points. Trace-driven runs and
     /// `shards = 1` put every node on a single lane; more shards take
-    /// their lanes from [`plan_shards`]. `workers = None` uses one thread
-    /// per lane up to the host's parallelism (floored at two, so a sharded
+    /// their lanes from the shard planner. A deployment run analyses its
+    /// scenario once ([`ScenarioAnalysis`]) and hands the analysis to both
+    /// the planner and the engine. `workers = None` uses one thread per
+    /// lane up to the host's parallelism (floored at two, so a sharded
     /// run really exercises the threaded path).
     fn execute(self, workers: Option<usize>) -> (RunOutcome, CoupledTiming) {
-        let partition = match &self.kind {
-            SimKind::Deployment { scenario } if resolve_shards(self.cfg.shards) > 1 => {
-                EnginePartition {
-                    lanes: plan_shards(scenario, &self.cfg)
-                        .assignments
-                        .into_iter()
-                        .map(|a| [a.vehicles, a.basestations].concat())
-                        .collect(),
-                }
+        let (partition, analysis) = match &self.kind {
+            SimKind::Deployment { scenario } => {
+                let shards = resolve_shards(self.cfg.shards);
+                let link = scenario.build_link_model(&Rng::new(self.cfg.seed));
+                let spec = Self::analysis_spec(&self.cfg, shards > 1);
+                let analysis = ScenarioAnalysis::new(scenario, &link, &spec);
+                let partition = if shards > 1 {
+                    EnginePartition {
+                        lanes: plan(&analysis, shards)
+                            .assignments
+                            .into_iter()
+                            .map(|a| [a.vehicles, a.basestations].concat())
+                            .collect(),
+                    }
+                } else {
+                    EnginePartition::single(self.all_nodes())
+                };
+                (partition, Some(analysis))
             }
-            _ => EnginePartition::single(self.all_nodes()),
+            SimKind::Trace { .. } => (EnginePartition::single(self.all_nodes()), None),
         };
         let workers = workers.unwrap_or_else(|| {
             partition.lanes.len().min(
@@ -472,7 +499,7 @@ impl Simulation {
                     .max(2),
             )
         });
-        let setup = self.engine_setup(partition, workers);
+        let setup = self.engine_setup(partition, workers, analysis);
         engine::run(setup)
     }
 }
@@ -517,6 +544,10 @@ fn resolve_shards(shards: usize) -> usize {
     }
 }
 
+/// Slow-fading delivery probability above which a vehicle counts as in
+/// contact with a basestation for the shard planner's load weights.
+const PLAN_MIN_PROB: f64 = 0.1;
+
 /// Build the deterministic shard plan for `(scenario, cfg)`: *all*
 /// vehicles (background occupants too — the engine simulates the whole
 /// scenario) partitioned by contact load
@@ -535,34 +566,38 @@ fn resolve_shards(shards: usize) -> usize {
 /// and its vehicles/basestations are balanced across that range alone;
 /// with fewer shards than clusters, whole clusters go LPT onto shards so
 /// no cluster straddles a shard boundary needlessly.
+///
+/// A run plans from the same [`ScenarioAnalysis`] its engine schedules
+/// by; this entry point builds one for the plan alone.
 pub fn plan_shards(scenario: &Scenario, cfg: &RunConfig) -> ShardPlan {
-    let shards = resolve_shards(cfg.shards).max(1);
     let link = scenario.build_link_model(&Rng::new(cfg.seed));
-    let clusters = if cfg.flat_epochs {
-        Vec::new()
-    } else {
-        scenario.contact_clusters(&link)
+    let spec = AnalysisSpec {
+        horizon_s: 0,
+        ..Simulation::analysis_spec(cfg, true)
     };
-    if clusters.len() >= 2 {
-        return plan_coupled_clustered(scenario, &link, &clusters, shards);
-    }
-    let vgroups = scenario.shard_partition_by_contact(shards, &link, 0.1);
-    // Basestations: longest-processing-time by contact seconds.
-    let mut weights = scenario.bs_contact_seconds(&link, 0.1);
-    weights.sort_by_key(|&(bs, w)| (std::cmp::Reverse(w), bs));
-    let mut bs_groups: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
-    let mut loads = vec![0u64; shards];
-    for (bs, w) in weights {
-        let lightest = (0..shards)
-            .min_by_key(|&s| (loads[s], s))
-            .expect(">=1 shard");
-        loads[lightest] += w;
-        bs_groups[lightest].push(bs);
-    }
+    plan(
+        &ScenarioAnalysis::new(scenario, &link, &spec),
+        resolve_shards(cfg.shards).max(1),
+    )
+}
+
+/// The shard plan behind [`plan_shards`], from an analysis built with the
+/// planner's contact threshold.
+fn plan(analysis: &ScenarioAnalysis, shards: usize) -> ShardPlan {
+    let (vehicles_of, bs_of) = if analysis.clusters().len() >= 2 {
+        plan_clustered(analysis, shards)
+    } else {
+        let bs = analysis
+            .bs_contact_seconds()
+            .iter()
+            .map(|&(b, w)| (w, b))
+            .collect();
+        (analysis.vehicle_partition(shards), lpt_assign(bs, shards))
+    };
     ShardPlan {
-        assignments: vgroups
+        assignments: vehicles_of
             .into_iter()
-            .zip(bs_groups)
+            .zip(bs_of)
             .enumerate()
             .map(|(s, (vehicles, basestations))| ShardAssignment {
                 shard_id: s as u32,
@@ -578,17 +613,17 @@ pub fn plan_shards(scenario: &Scenario, cfg: &RunConfig) -> ShardPlan {
 /// across its own shards. Keeping every cluster on an exclusive shard
 /// range (when shards allow) is what lets the nested barrier hierarchy
 /// run clusters without stalling each other; the plan stays a pure
-/// function of `(scenario, link, clusters, shards)` and — like every
-/// coupled plan — only a load-balancing choice, never a semantic one.
-fn plan_coupled_clustered(
-    scenario: &Scenario,
-    link: &PhysicalLinkModel,
-    clusters: &[Vec<NodeId>],
+/// function of the analysis and the shard count and — like every coupled
+/// plan — only a load-balancing choice, never a semantic one. Returns
+/// each shard's vehicles and basestations.
+fn plan_clustered(
+    analysis: &ScenarioAnalysis,
     shards: usize,
-) -> ShardPlan {
+) -> (Vec<Vec<NodeId>>, Vec<Vec<NodeId>>) {
+    let clusters = analysis.clusters();
     // Per-node contact weights — the same load proxies the flat planner
     // uses (vehicle contact seconds, BS contact seconds).
-    let bs_w: HashMap<NodeId, u64> = scenario.bs_contact_seconds(link, 0.1).into_iter().collect();
+    let bs_w: HashMap<NodeId, u64> = analysis.bs_contact_seconds().iter().copied().collect();
     let nc = clusters.len();
     let mut members: Vec<(Vec<(u64, NodeId)>, Vec<(u64, NodeId)>)> = Vec::with_capacity(nc);
     let mut cluster_w: Vec<u64> = Vec::with_capacity(nc);
@@ -601,11 +636,7 @@ fn plan_coupled_clustered(
                 bs.push((bw, n));
                 w += bw;
             } else {
-                let vw: u64 = scenario
-                    .contact_windows(n, link, 0.1)
-                    .iter()
-                    .map(|&(a, b)| b - a)
-                    .sum();
+                let vw = analysis.contact_seconds(n);
                 vs.push((vw, n));
                 w += vw;
             }
@@ -618,15 +649,11 @@ fn plan_coupled_clustered(
     if shards < nc {
         // Fewer shards than clusters: whole clusters LPT onto shards,
         // heaviest first — a cluster never straddles a shard boundary.
-        let mut order: Vec<usize> = (0..nc).collect();
-        order.sort_by_key(|&c| (std::cmp::Reverse(cluster_w[c]), c));
-        let mut loads = vec![0u64; shards];
-        for c in order {
-            let lightest = (0..shards)
-                .min_by_key(|&s| (loads[s], s))
-                .expect(">=1 shard");
-            loads[lightest] += cluster_w[c];
-            host[c] = vec![lightest];
+        let weighted = cluster_w.iter().copied().zip(0..nc).collect();
+        for (s, placed) in lpt_assign(weighted, shards).into_iter().enumerate() {
+            for c in placed {
+                host[c] = vec![s];
+            }
         }
     } else {
         // At least one shard per cluster: shard counts proportional to
@@ -659,35 +686,51 @@ fn plan_coupled_clustered(
     // LPT independently (mirroring the flat planner's separate ledgers).
     let mut vehicles_of: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
     let mut bs_of: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
-    for (c, (mut vs, mut bs)) in members.into_iter().enumerate() {
-        let hosts = &host[c];
-        vs.sort_by_key(|&(w, v)| (std::cmp::Reverse(w), v));
-        let mut loads = vec![0u64; hosts.len()];
-        for (w, v) in vs {
-            let k = (0..hosts.len())
-                .min_by_key(|&k| (loads[k], k))
-                .expect("cluster hosts at least one shard");
-            loads[k] += w;
-            vehicles_of[hosts[k]].push(v);
-        }
-        bs.sort_by_key(|&(w, b)| (std::cmp::Reverse(w), b));
-        let mut loads = vec![0u64; hosts.len()];
-        for (w, b) in bs {
-            let k = (0..hosts.len())
-                .min_by_key(|&k| (loads[k], k))
-                .expect("cluster hosts at least one shard");
-            loads[k] += w;
-            bs_of[hosts[k]].push(b);
+    for (hosts, (vs, bs)) in host.iter().zip(members) {
+        for (of, items) in [(&mut vehicles_of, vs), (&mut bs_of, bs)] {
+            for (k, placed) in lpt_assign(items, hosts.len()).into_iter().enumerate() {
+                of[hosts[k]].extend(placed);
+            }
         }
     }
-    ShardPlan {
-        assignments: (0..shards)
-            .map(|s| ShardAssignment {
-                shard_id: s as u32,
-                vehicles: std::mem::take(&mut vehicles_of[s]),
-                basestations: std::mem::take(&mut bs_of[s]),
-            })
-            .collect(),
+    (vehicles_of, bs_of)
+}
+
+/// Which epoch schedule a deployment run synchronizes on, and why.
+/// Recorded in [`CoupledTiming::schedule`]; it never changes the outcome
+/// of a given configuration, only reports it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ScheduleMode {
+    /// One flat schedule: a trace-driven run, a single contact cluster,
+    /// or [`RunConfig::flat_epochs`].
+    Flat,
+    /// The nested hierarchy: per-cluster fine barriers under a coarse
+    /// fleet-wide rendezvous.
+    Nested {
+        /// Contact clusters, each with its own fine schedule.
+        clusters: usize,
+    },
+    /// The scenario decomposes into more clusters than the nested engine
+    /// tracks (64, one bit each in its per-barrier cluster masks), so the
+    /// run falls back to the flat schedule.
+    FlatFallback {
+        /// Contact clusters found.
+        clusters: usize,
+    },
+}
+
+impl ScheduleMode {
+    const MAX_NESTED_CLUSTERS: usize = 64;
+
+    /// The schedule for a scenario with `clusters` contact clusters.
+    pub(crate) fn choose(flat_epochs: bool, clusters: usize) -> Self {
+        if flat_epochs || clusters < 2 {
+            ScheduleMode::Flat
+        } else if clusters <= Self::MAX_NESTED_CLUSTERS {
+            ScheduleMode::Nested { clusters }
+        } else {
+            ScheduleMode::FlatFallback { clusters }
+        }
     }
 }
 
@@ -741,7 +784,7 @@ pub fn node_kind_name(kind: NodeKind) -> &'static str {
 mod tests {
     use super::*;
     use vifi_sim::SimDuration;
-    use vifi_testbeds::{dieselnet_ch1, generate_beacon_trace, vanlan};
+    use vifi_testbeds::{dieselnet_ch1, dieselnet_fleet, generate_beacon_trace, metro, vanlan};
 
     fn quick_cfg(workload: WorkloadSpec, secs: u64, seed: u64) -> RunConfig {
         RunConfig {
@@ -1035,6 +1078,93 @@ mod tests {
             assert_eq!(a.vehicles, b.vehicles);
             assert_eq!(a.basestations, b.basestations);
         }
+    }
+
+    /// FNV-1a over every shard's id, vehicles and basestations in plan
+    /// order.
+    fn plan_digest(plan: &ShardPlan) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut push = |x: u64| {
+            for b in x.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for a in &plan.assignments {
+            push(u64::from(a.shard_id));
+            push(a.vehicles.len() as u64);
+            a.vehicles.iter().for_each(|v| push(v.index() as u64));
+            push(a.basestations.len() as u64);
+            a.basestations.iter().for_each(|b| push(b.index() as u64));
+        }
+        h
+    }
+
+    /// `plan_shards` reproduces, assignment for assignment, the plans of
+    /// the all-pairs planner it replaced: the digests below were taken
+    /// from that planner. Covers the flat planner (one cluster, and
+    /// `flat_epochs`), whole clusters onto fewer shards, and clusters
+    /// spread over more shards.
+    #[test]
+    fn plan_shards_matches_the_all_pairs_planner() {
+        let cases: [(Scenario, usize, u64, bool, u64); 8] = [
+            (vanlan(4), 2, 1, false, 0x6e93_2567_baab_7608),
+            (vanlan(4), 3, 7, false, 0xbf4d_8333_9db1_aee8),
+            (dieselnet_fleet(8, 42), 3, 1, false, 0x651e_fbc7_4525_4fe1),
+            (dieselnet_fleet(8, 42), 5, 7, false, 0x09be_6888_ef40_fe20),
+            (metro(3, 4, 11), 2, 1, false, 0xa227_4e02_9be6_2f79),
+            (metro(3, 4, 11), 5, 7, false, 0xed9e_4d32_84f1_22c2),
+            (metro(3, 4, 11), 8, 3, false, 0x5e32_5728_972e_6caa),
+            (metro(2, 3, 5), 3, 1, true, 0x1148_c4ae_c543_55ec),
+        ];
+        for (s, shards, seed, flat_epochs, want) in cases {
+            let cfg = RunConfig {
+                shards,
+                seed,
+                flat_epochs,
+                ..RunConfig::default()
+            };
+            let plan = plan_shards(&s, &cfg);
+            assert_eq!(
+                plan_digest(&plan),
+                want,
+                "{} at {shards} shards, seed {seed}, flat {flat_epochs}: {plan:?}",
+                s.name
+            );
+        }
+    }
+
+    #[test]
+    fn schedule_mode_names_the_fallback() {
+        assert_eq!(ScheduleMode::choose(false, 1), ScheduleMode::Flat);
+        assert_eq!(ScheduleMode::choose(true, 4), ScheduleMode::Flat);
+        assert_eq!(
+            ScheduleMode::choose(false, 4),
+            ScheduleMode::Nested { clusters: 4 }
+        );
+        assert_eq!(
+            ScheduleMode::choose(false, 64),
+            ScheduleMode::Nested { clusters: 64 }
+        );
+        assert_eq!(
+            ScheduleMode::choose(false, 65),
+            ScheduleMode::FlatFallback { clusters: 65 }
+        );
+        // A run reports the schedule it took.
+        let s = metro(2, 1, 3);
+        let cfg = RunConfig {
+            fleet_workloads: vec![WorkloadSpec::paper_cbr()],
+            shards: 2,
+            ..quick_cfg(WorkloadSpec::Idle, 3, 1)
+        };
+        let (_, timing) = Simulation::run_coupled_timed(&s, cfg.clone(), Some(1));
+        assert_eq!(timing.schedule, ScheduleMode::Nested { clusters: 2 });
+        let flat = RunConfig {
+            flat_epochs: true,
+            ..cfg
+        };
+        let (_, timing) = Simulation::run_coupled_timed(&s, flat, Some(1));
+        assert_eq!(timing.schedule, ScheduleMode::Flat);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //!
 //! * [`scenario`] — the common description: nodes, mobility, radio
 //!   parameters, and construction of the physical link model;
+//! * [`analysis`] — the one-pass, grid-pruned radio-contact analysis of
+//!   a scenario (contact clusters, windows and activity schedules);
 //! * [`vanlan()`](vanlan::vanlan) — 11 BSes on five buildings inside the 828 m × 559 m box of
 //!   Fig. 1, plus a shuttle loop that enters and leaves coverage (the
 //!   "about ten visits a day" pattern, time-compressed; see DESIGN.md);
@@ -66,12 +68,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod analysis;
 pub mod dieselnet;
 pub mod metro;
 pub mod scenario;
 pub mod trace;
 pub mod vanlan;
 
+pub use analysis::{lpt_assign, AnalysisSpec, ScenarioAnalysis};
 pub use dieselnet::{bus_schedules, dieselnet_ch1, dieselnet_ch6, dieselnet_fleet, BusSchedule};
 pub use metro::metro;
 pub use scenario::{NodeSpec, Scenario};

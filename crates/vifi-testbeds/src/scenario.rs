@@ -1,11 +1,11 @@
 //! Scenario description: the nodes, their motion, and the radio
 //! environment of one testbed.
 
-use std::collections::BTreeMap;
-
 use vifi_phy::link::MobilitySource;
 use vifi_phy::{NodeId, NodeKind, PhysicalLinkModel, Point, RadioParams};
 use vifi_sim::{Rng, SimDuration, SimTime};
+
+use crate::analysis::{AnalysisSpec, ScenarioAnalysis};
 
 /// One node in a scenario.
 #[derive(Clone, Debug)]
@@ -130,10 +130,10 @@ impl Scenario {
     /// (total [`Scenario::contact_windows`] length against `link` at
     /// `min_prob`, plus one so fully-out-of-range vehicles still count),
     /// and vehicles are placed heaviest-first onto the lightest shard
-    /// (longest processing time). Useful when contact schedules are
-    /// lopsided — e.g. DieselNet fleets where some buses barely touch the
-    /// town core — so no worker ends up owning all the busy vehicles. Ties
-    /// break by vehicle id, keeping the plan deterministic.
+    /// ([`lpt_assign`](crate::lpt_assign)). Useful when contact schedules are lopsided — e.g.
+    /// DieselNet fleets where some buses barely touch the town core — so
+    /// no worker ends up owning all the busy vehicles. Ties break by
+    /// vehicle id, keeping the plan deterministic.
     pub fn shard_partition_by_contact(
         &self,
         shards: usize,
@@ -141,35 +141,21 @@ impl Scenario {
         min_prob: f64,
     ) -> Vec<Vec<NodeId>> {
         assert!(shards >= 1, "need at least one shard");
-        let mut weighted: Vec<(u64, NodeId)> = self
-            .vehicle_ids()
-            .into_iter()
-            .map(|v| {
-                let covered: u64 = self
-                    .contact_windows(v, link, min_prob)
-                    .iter()
-                    .map(|(a, b)| b - a)
-                    .sum();
-                (covered + 1, v)
-            })
-            .collect();
-        // Heaviest first; ties by id so the plan is reproducible.
-        weighted.sort_by_key(|&(w, v)| (std::cmp::Reverse(w), v));
-        let mut groups: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
-        let mut loads = vec![0u64; shards];
-        for (w, v) in weighted {
-            let lightest = (0..shards)
-                .min_by_key(|&s| (loads[s], s))
-                .expect(">=1 shard");
-            loads[lightest] += w;
-            groups[lightest].push(v);
-        }
-        groups
+        self.contact_analysis(link, min_prob)
+            .vehicle_partition(shards)
     }
 
     /// Position of a node at a given time (convenience for map rendering).
     pub fn position(&self, id: NodeId, t: SimTime) -> Point {
         self.node(id).mobility.position_at(t)
+    }
+
+    fn contact_analysis(&self, link: &PhysicalLinkModel, min_prob: f64) -> ScenarioAnalysis {
+        let spec = AnalysisSpec {
+            contact_min_prob: Some(min_prob),
+            ..AnalysisSpec::default()
+        };
+        ScenarioAnalysis::new(self, link, &spec)
     }
 
     /// The contact windows of one vehicle over a single lap: maximal
@@ -179,7 +165,8 @@ impl Scenario {
     /// fleet schedulers and the fleet property tests lean on both
     /// invariants. Sampled at 1 Hz against `link` (build it with
     /// [`Scenario::build_link_model`]), the same granularity as the
-    /// testbeds' GPS and beacon logs.
+    /// testbeds' GPS and beacon logs. To query many vehicles, build one
+    /// [`ScenarioAnalysis`] and ask it.
     pub fn contact_windows(
         &self,
         vehicle: NodeId,
@@ -191,26 +178,9 @@ impl Scenario {
             NodeKind::Vehicle,
             "contact windows are defined for vehicles"
         );
-        let bs = self.bs_ids();
-        let lap_s = self.lap.as_secs();
-        let mut windows = Vec::new();
-        let mut open: Option<u64> = None;
-        for sec in 0..lap_s {
-            let t = SimTime::from_secs(sec);
-            let covered = bs.iter().any(|&b| link.slow_prob(b, vehicle, t) > min_prob);
-            match (covered, open) {
-                (true, None) => open = Some(sec),
-                (false, Some(start)) => {
-                    windows.push((start, sec));
-                    open = None;
-                }
-                _ => {}
-            }
-        }
-        if let Some(start) = open {
-            windows.push((start, lap_s));
-        }
-        windows
+        self.contact_analysis(link, min_prob)
+            .contact_windows(vehicle)
+            .to_vec()
     }
 
     /// Contact-overlap analysis for the coupled-run planner: per
@@ -225,24 +195,9 @@ impl Scenario {
         link: &PhysicalLinkModel,
         min_prob: f64,
     ) -> Vec<(NodeId, u64)> {
-        let vehicles = self.vehicle_ids();
-        let lap_s = self.lap.as_secs();
-        self.bs_ids()
-            .into_iter()
-            .map(|bs| {
-                let mut covered = 0u64;
-                for sec in 0..lap_s {
-                    let t = SimTime::from_secs(sec);
-                    if vehicles
-                        .iter()
-                        .any(|&v| link.slow_prob(bs, v, t) > min_prob)
-                    {
-                        covered += 1;
-                    }
-                }
-                (bs, covered + 1)
-            })
-            .collect()
+        self.contact_analysis(link, min_prob)
+            .bs_contact_seconds()
+            .to_vec()
     }
 
     /// The seconds of `[0, horizon_s)` during which cross-shard radio
@@ -260,13 +215,14 @@ impl Scenario {
         horizon_s: u64,
         margin_s: u64,
     ) -> Vec<(u64, u64)> {
-        self.active_seconds_for(
-            link,
+        let spec = AnalysisSpec {
             horizon_s,
             margin_s,
-            &self.vehicle_ids(),
-            &self.bs_ids(),
-        )
+            ..AnalysisSpec::default()
+        };
+        ScenarioAnalysis::new(self, link, &spec)
+            .active_seconds()
+            .to_vec()
     }
 
     /// [`Scenario::active_seconds`] restricted to one cluster: only
@@ -283,47 +239,14 @@ impl Scenario {
         margin_s: u64,
         members: &[NodeId],
     ) -> Vec<(u64, u64)> {
-        let vehicles: Vec<NodeId> = members
-            .iter()
-            .copied()
-            .filter(|&n| self.node(n).kind == NodeKind::Vehicle)
-            .collect();
-        let bs: Vec<NodeId> = members
-            .iter()
-            .copied()
-            .filter(|&n| self.node(n).kind == NodeKind::Basestation)
-            .collect();
-        self.active_seconds_for(link, horizon_s, margin_s, &vehicles, &bs)
-    }
-
-    fn active_seconds_for(
-        &self,
-        link: &PhysicalLinkModel,
-        horizon_s: u64,
-        margin_s: u64,
-        vehicles: &[NodeId],
-        bs: &[NodeId],
-    ) -> Vec<(u64, u64)> {
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
-        for sec in 0..horizon_s {
-            let t = SimTime::from_secs(sec);
-            let active = vehicles.iter().enumerate().any(|(i, &v)| {
-                bs.iter().any(|&b| link.slow_prob(b, v, t) > 0.0)
-                    || vehicles[i + 1..]
-                        .iter()
-                        .any(|&w| link.slow_prob(v, w, t) > 0.0)
-            });
-            if !active {
-                continue;
-            }
-            let lo = sec.saturating_sub(margin_s);
-            let hi = (sec + margin_s + 1).min(horizon_s.max(1));
-            match ranges.last_mut() {
-                Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
-                _ => ranges.push((lo, hi)),
-            }
-        }
-        ranges
+        let spec = AnalysisSpec {
+            horizon_s,
+            margin_s,
+            ..AnalysisSpec::default()
+        };
+        ScenarioAnalysis::of_members(self, link, &spec, members)
+            .active_seconds()
+            .to_vec()
     }
 
     /// Decompose the fleet into **contact clusters**: the connected
@@ -349,68 +272,11 @@ impl Scenario {
     /// their smallest node id. A pure function of the scenario and link
     /// geometry — never of shard or worker count.
     pub fn contact_clusters(&self, link: &PhysicalLinkModel) -> Vec<Vec<NodeId>> {
-        let n = self.nodes.len();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]]; // path halving
-                x = parent[x];
-            }
-            x
-        }
-        let union = |parent: &mut [usize], a: usize, b: usize| {
-            let (ra, rb) = (find(parent, a), find(parent, b));
-            if ra != rb {
-                // Root at the smaller index: deterministic structure.
-                let (lo, hi) = (ra.min(rb), ra.max(rb));
-                parent[hi] = lo;
-            }
+        let spec = AnalysisSpec {
+            clusters: true,
+            ..AnalysisSpec::default()
         };
-        let vehicles = self.vehicle_ids();
-        let bs = self.bs_ids();
-        for i in 0..bs.len() {
-            for j in i + 1..bs.len() {
-                if find(&mut parent, bs[i].index()) == find(&mut parent, bs[j].index()) {
-                    continue;
-                }
-                let t = SimTime::ZERO;
-                if link.slow_prob(bs[i], bs[j], t) > 0.0 || link.slow_prob(bs[j], bs[i], t) > 0.0 {
-                    union(&mut parent, bs[i].index(), bs[j].index());
-                }
-            }
-        }
-        for sec in 0..self.lap.as_secs().max(1) {
-            let t = SimTime::from_secs(sec);
-            for (i, &v) in vehicles.iter().enumerate() {
-                for &b in &bs {
-                    if find(&mut parent, v.index()) == find(&mut parent, b.index()) {
-                        continue;
-                    }
-                    if link.slow_prob(b, v, t) > 0.0 || link.slow_prob(v, b, t) > 0.0 {
-                        union(&mut parent, v.index(), b.index());
-                    }
-                }
-                for &w in &vehicles[i + 1..] {
-                    if find(&mut parent, v.index()) == find(&mut parent, w.index()) {
-                        continue;
-                    }
-                    if link.slow_prob(v, w, t) > 0.0 || link.slow_prob(w, v, t) > 0.0 {
-                        union(&mut parent, v.index(), w.index());
-                    }
-                }
-            }
-        }
-        let mut by_root: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
-        for node in &self.nodes {
-            by_root
-                .entry(find(&mut parent, node.id.index()))
-                .or_default()
-                .push(node.id);
-        }
-        // BTreeMap iteration gives roots in ascending order, and the root
-        // is each component's smallest index, so clusters come out ordered
-        // by smallest member with members already in id order.
-        by_root.into_values().collect()
+        ScenarioAnalysis::new(self, link, &spec).clusters().to_vec()
     }
 }
 

@@ -1,12 +1,18 @@
 //! Property tests for the fleet-scale scenario generators: determinism
 //! per seed, per-vehicle route distinctness, contact-window validity
-//! (sorted, disjoint, inside the lap), and the contact-cluster
-//! decomposition the hierarchical coupled engine synchronizes by.
+//! (sorted, disjoint, inside the lap), the contact-cluster decomposition
+//! the hierarchical coupled engine synchronizes by, and the one-pass grid
+//! analysis against the all-pairs reference in `reference/`.
+
+mod reference;
 
 use proptest::prelude::*;
-use vifi_phy::NodeId;
-use vifi_sim::{Rng, SimTime};
-use vifi_testbeds::{dieselnet_fleet, metro, vanlan, Scenario};
+use vifi_phy::link::MobilitySource;
+use vifi_phy::{NodeId, NodeKind, Point, RadioParams};
+use vifi_sim::{Rng, SimDuration, SimTime};
+use vifi_testbeds::{
+    dieselnet_fleet, metro, vanlan, AnalysisSpec, NodeSpec, Scenario, ScenarioAnalysis,
+};
 
 /// Sample instants spread over the first lap (and beyond, to catch wrap
 /// bugs in closed routes).
@@ -191,4 +197,168 @@ proptest! {
             }
         }
     }
+}
+
+/// Every output of one [`ScenarioAnalysis`] — and of the [`Scenario`]
+/// wrappers, which build narrower analyses that stop early — equals the
+/// all-pairs reference.
+fn assert_matches_reference(
+    s: &Scenario,
+    link_seed: u64,
+    horizon_s: u64,
+    margin_s: u64,
+    min_prob: f64,
+) -> Result<(), TestCaseError> {
+    let link = s.build_link_model(&Rng::new(link_seed));
+    let spec = AnalysisSpec {
+        clusters: true,
+        contact_min_prob: Some(min_prob),
+        horizon_s,
+        margin_s,
+    };
+    let a = ScenarioAnalysis::new(s, &link, &spec);
+    let clusters = reference::contact_clusters(s, &link);
+    prop_assert_eq!(a.clusters(), &clusters[..], "{} clusters", s.name);
+    prop_assert_eq!(&s.contact_clusters(&link), &clusters, "{} wrapper", s.name);
+    let bs = reference::bs_contact_seconds(s, &link, min_prob);
+    prop_assert_eq!(a.bs_contact_seconds(), &bs[..], "{} BS contact", s.name);
+    prop_assert_eq!(&s.bs_contact_seconds(&link, min_prob), &bs);
+    for &v in &s.vehicle_ids() {
+        let windows = reference::contact_windows(s, v, &link, min_prob);
+        prop_assert_eq!(a.contact_windows(v), &windows[..], "{} {:?}", s.name, v);
+    }
+    let v0 = s.vehicle_ids()[0];
+    prop_assert_eq!(
+        s.contact_windows(v0, &link, min_prob),
+        reference::contact_windows(s, v0, &link, min_prob)
+    );
+    let active = reference::active_seconds(s, &link, horizon_s, margin_s);
+    prop_assert_eq!(a.active_seconds(), &active[..], "{} activity", s.name);
+    prop_assert_eq!(&s.active_seconds(&link, horizon_s, margin_s), &active);
+    prop_assert_eq!(a.cluster_active_seconds().len(), clusters.len());
+    for (c, members) in clusters.iter().enumerate() {
+        let want = reference::cluster_active_seconds(s, &link, horizon_s, margin_s, members);
+        prop_assert_eq!(
+            &a.cluster_active_seconds()[c],
+            &want,
+            "{} cluster {}",
+            s.name,
+            c
+        );
+    }
+    // An arbitrary member set, not a cluster: every other node.
+    let members: Vec<NodeId> = s.nodes.iter().map(|n| n.id).step_by(2).collect();
+    prop_assert_eq!(
+        s.cluster_active_seconds(&link, horizon_s, margin_s, &members),
+        reference::cluster_active_seconds(s, &link, horizon_s, margin_s, &members)
+    );
+    Ok(())
+}
+
+proptest! {
+    // The reference is all-pairs and this copy runs in debug builds, so
+    // fleets stay small and cases few.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The grid analysis equals the all-pairs reference on every
+    /// generator, for random link seeds, horizons (some past the lap),
+    /// margins and contact thresholds.
+    #[test]
+    fn analysis_matches_all_pairs_reference(
+        n in 1u32..4,
+        districts in 1u32..4,
+        seed in 0u64..1_000,
+        link_seed in 0u64..1_000_000,
+        horizon_s in 0u64..1_000,
+        margin_s in 0u64..4,
+        min_prob in 0.0f64..0.5,
+    ) {
+        let min_prob = if seed % 3 == 0 { 0.1 } else { min_prob };
+        for s in [vanlan(n), dieselnet_fleet(n, seed), metro(districts, n, seed)] {
+            assert_matches_reference(&s, link_seed, horizon_s, margin_s, min_prob)?;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The same oracle at `metro(4, 16)` scale, where the grid prunes
+    /// most pairs. Release builds only (CI leg `analysis-oracle`):
+    /// `cargo test --release -p vifi-testbeds --test fleet_properties --
+    /// --ignored`.
+    #[test]
+    #[ignore = "all-pairs reference at metro(4, 16) scale; run in release"]
+    fn analysis_matches_all_pairs_reference_at_metro_scale(
+        seed in 0u64..1_000,
+        link_seed in 0u64..1_000_000,
+        horizon_s in 1u64..120,
+    ) {
+        assert_matches_reference(&metro(4, 16, seed), link_seed, horizon_s, 3, 0.1)?;
+    }
+}
+
+/// A scenario of parked nodes: `(kind, x, y)` each.
+fn parked(nodes: &[(NodeKind, f64, f64)]) -> Scenario {
+    Scenario {
+        name: "parked".into(),
+        nodes: nodes
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, x, y))| NodeSpec {
+                id: NodeId(i as u32),
+                kind,
+                mobility: MobilitySource::Fixed(Point::new(x, y)),
+                name: format!("n{i}"),
+            })
+            .collect(),
+        radio: RadioParams::default(),
+        lap: SimDuration::from_secs(3),
+        visits_per_day: 1,
+    }
+}
+
+/// Grid boundaries: pairs exactly `max_range_m` apart (in range), pairs
+/// a hair beyond it, pairs straddling cell edges, and all of it at
+/// negative coordinates too. The analysis must agree with the all-pairs
+/// reference, and the cluster split must be the one geometry dictates.
+#[test]
+fn analysis_is_exact_at_grid_boundaries() {
+    use NodeKind::{Basestation as B, Vehicle as V};
+    let r = RadioParams::default().max_range_m;
+    let s = parked(&[
+        // Exactly one range apart along x, across a cell edge.
+        (B, 0.0, 0.0),
+        (V, r, 0.0),
+        // Straddling the x = r cell edge, a metre apart.
+        (B, r - 0.5, 3.0 * r),
+        (V, r + 0.5, 3.0 * r),
+        // Negative coordinates: exactly one range apart, and a hair more.
+        (B, -2.0 * r, -2.0 * r),
+        (V, -r, -2.0 * r),
+        (V, -2.0 * r, -3.0 * r - 1e-6),
+        // Diagonal neighbours around the origin of the negative quadrant.
+        (V, -6.0 * r - 0.1, -6.0 * r - 0.1),
+        (B, -6.0 * r + 0.1, -6.0 * r + 0.1),
+        // Anti-diagonal neighbours across a cell corner.
+        (V, 10.0 * r - 0.1, -10.0 * r + 0.1),
+        (B, 10.0 * r + 0.1, -10.0 * r - 0.1),
+        // Exactly one range apart along the diagonal.
+        (V, 8.0 * r, 8.0 * r),
+        (V, 8.0 * r + r / 2f64.sqrt(), 8.0 * r + r / 2f64.sqrt()),
+    ]);
+    let link = s.build_link_model(&Rng::new(3));
+    let clusters = s.contact_clusters(&link);
+    assert_eq!(clusters, reference::contact_clusters(&s, &link));
+    let ids = |v: &[u32]| v.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+    let expect_joined = [&[0, 1][..], &[2, 3], &[4, 5], &[7, 8], &[9, 10]];
+    for pair in expect_joined {
+        assert!(clusters.contains(&ids(pair)), "{pair:?} in {clusters:?}");
+    }
+    assert!(
+        clusters.contains(&ids(&[6])),
+        "a hair past range: {clusters:?}"
+    );
+    assert_matches_reference(&s, 3, 5, 1, 0.0).unwrap();
+    assert_matches_reference(&s, 9, 5, 0, 0.1).unwrap();
 }
