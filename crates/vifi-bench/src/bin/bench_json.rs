@@ -381,6 +381,24 @@ fn bench_event_queue(h: &mut Harness) {
         }
         n
     });
+    // The `paper_drive` shape: one shard holding ~4.5k pending events of
+    // the engine's payload size (104 bytes), every dispatch scheduling a
+    // successor a random delay ahead — schedule/pop churn at constant
+    // depth. One iteration is 1000 pop + schedule pairs.
+    let mut rng = Rng::new(5);
+    let mut q: EventQueue<[u64; 13]> = EventQueue::new();
+    for i in 0..4500u64 {
+        q.schedule(SimTime::from_micros(rng.below(1_000_000)), [i; 13]);
+    }
+    h.bench("event_queue_deep_4k", || {
+        let mut acc = 0u64;
+        for _ in 0..1000 {
+            let (at, ev) = q.pop().expect("the depth stays constant");
+            acc = acc.wrapping_add(ev[0]);
+            q.schedule(at + SimDuration::from_micros(rng.below(1_000_000)), ev);
+        }
+        acc
+    });
 }
 
 fn bench_sessions(h: &mut Harness) {

@@ -633,6 +633,8 @@ mod tests {
             ],
             serial: Duration::from_millis(10),
             schedule: vifi_runtime::ScheduleMode::Flat,
+            epochs: 0,
+            idle_epochs: 0,
         };
         let row = CoupledScalingRow::from_timing(3, &timing, 130.0);
         assert_eq!(row.per_shard_wall_ms, vec![40.0, 55.0, 35.0]);

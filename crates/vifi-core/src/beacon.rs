@@ -18,10 +18,8 @@
 //! Vehicle beacons additionally announce the current anchor, the previous
 //! anchor (for salvaging) and the auxiliary set (§4.3).
 
-use std::collections::HashMap;
-
 use vifi_phy::NodeId;
-use vifi_sim::{SimDuration, SimTime};
+use vifi_sim::{FastMap, SimDuration, SimTime};
 
 /// Per-neighbor incoming-probability estimator: per-window beacon counts,
 /// exponentially averaged.
@@ -145,9 +143,9 @@ pub struct ProbView {
     alpha: f64,
     timeout: SimDuration,
     /// Measured: neighbor → estimator for p(neighbor → me).
-    incoming: HashMap<NodeId, ProbEstimator>,
+    incoming: FastMap<NodeId, ProbEstimator>,
     /// Learned from gossip: (from, to) → (prob, heard_at).
-    learned: HashMap<(NodeId, NodeId), (f64, SimTime)>,
+    learned: FastMap<(NodeId, NodeId), (f64, SimTime)>,
 }
 
 impl ProbView {
@@ -163,8 +161,8 @@ impl ProbView {
             expected_per_window,
             alpha,
             timeout,
-            incoming: HashMap::new(),
-            learned: HashMap::new(),
+            incoming: FastMap::default(),
+            learned: FastMap::default(),
         }
     }
 

@@ -19,7 +19,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use bytes::Bytes;
 use vifi_phy::NodeId;
-use vifi_sim::{Rng, SimDuration, SimTime};
+use vifi_sim::{FastMap, Rng, SimDuration, SimTime};
 
 use crate::beacon::{BeaconPayload, ProbView, VehicleInfo};
 use crate::bitmap::{RxBitmap, WireBitmap};
@@ -243,9 +243,9 @@ pub struct Endpoint {
     retx: RetxTimer,
 
     // ---- flow-destination state ----
-    rx_bitmaps: HashMap<NodeId, RxBitmap>,
-    delivered: HashMap<NodeId, BTreeSet<u64>>,
-    acked_once: HashMap<NodeId, BTreeSet<u64>>,
+    rx_bitmaps: FastMap<NodeId, RxBitmap>,
+    delivered: FastMap<NodeId, BTreeSet<u64>>,
+    acked_once: FastMap<NodeId, BTreeSet<u64>>,
 
     // ---- vehicle state ----
     anchor: Option<NodeId>,
@@ -255,11 +255,11 @@ pub struct Endpoint {
     blacklist: Blacklist,
 
     // ---- BS state ----
-    vehicles: HashMap<NodeId, VehicleView>,
+    vehicles: FastMap<NodeId, VehicleView>,
     contenders: Vec<Contender>,
     internet_buf: VecDeque<InternetPacket>,
     /// (vehicle, epoch) pairs already salvaged.
-    salvaged_epochs: HashMap<NodeId, u64>,
+    salvaged_epochs: FastMap<NodeId, u64>,
     relay_phase: SimDuration,
 
     /// Reusable relay-math buffer pool: one set of allocations per
@@ -309,17 +309,17 @@ impl Endpoint {
             next_seq: 0,
             pending: HashMap::new(),
             retx,
-            rx_bitmaps: HashMap::new(),
-            delivered: HashMap::new(),
-            acked_once: HashMap::new(),
+            rx_bitmaps: FastMap::default(),
+            delivered: FastMap::default(),
+            acked_once: FastMap::default(),
             anchor: None,
             prev_anchor: None,
             anchor_epoch: 0,
             blacklist,
-            vehicles: HashMap::new(),
+            vehicles: FastMap::default(),
             contenders: Vec::new(),
             internet_buf: VecDeque::new(),
-            salvaged_epochs: HashMap::new(),
+            salvaged_epochs: FastMap::default(),
             relay_phase,
             relay_scratch: Vec::new(),
             tx_queue: VecDeque::new(),

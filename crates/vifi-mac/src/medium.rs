@@ -46,10 +46,8 @@
 //! one-pass rule; at the paper's offered loads the medium is idle ≫ 95%
 //! of the time and the two rules almost always agree.
 
-use std::collections::HashMap;
-
 use vifi_phy::{LinkModel, NodeId};
-use vifi_sim::{Rng, SimTime};
+use vifi_sim::{FastMap, Rng, SimTime};
 
 use crate::frame::{Frame, MacParams};
 
@@ -396,7 +394,7 @@ pub struct SharedMediumService<P> {
     /// Per-node slotted-backoff streams, forked lazily from the root by
     /// node id — a node's draws depend only on how many frames *it* sent,
     /// which is what makes placement independent of shard interleaving.
-    backoff: HashMap<NodeId, Rng>,
+    backoff: FastMap<NodeId, Rng>,
     /// Count of frames put on the air (for efficiency accounting).
     pub tx_count: u64,
 }
@@ -410,7 +408,7 @@ impl<P: Clone> SharedMediumService<P> {
             next_handle: 0,
             live: Vec::new(),
             backoff_root: rng.fork_named("mac-backoff"),
-            backoff: HashMap::new(),
+            backoff: FastMap::default(),
             tx_count: 0,
         }
     }
@@ -873,6 +871,19 @@ impl<P: Clone> SharedMediumService<P> {
         out
     }
 
+    /// True when [`Self::drain_resolvable`]`(next_boundary)` would return
+    /// nothing: no unresolved transmission ends before `next_boundary`.
+    /// Such a drain also changes no state when no batch was placed since
+    /// the previous drain — the resolved set and the prune bound (earliest
+    /// unresolved start) are what that drain left — which is what lets the
+    /// runtime skip an idle barrier outright.
+    pub fn nothing_resolvable_before(&self, next_boundary: SimTime) -> bool {
+        !self
+            .live
+            .iter()
+            .any(|t| !t.resolved && t.end < next_boundary)
+    }
+
     /// The interference horizon of `node` at `at`: the latest end among
     /// live windows it can sense, i.e. the instant until which the node's
     /// channel-access decisions are constrained by current global state
@@ -1122,10 +1133,14 @@ mod tests {
         let mut med = svc(MacParams::default());
         let ps = med.place_batch(vec![req(0, 100, 0, SimTime::ZERO)], SimTime::ZERO, &link);
         // A boundary before the frame's end drains nothing.
+        assert!(med.nothing_resolvable_before(ps[0].end));
         assert!(med.drain_resolvable(ps[0].end).is_empty());
         // One past it drains the frame exactly once.
-        let drained = med.drain_resolvable(ps[0].end + SimDuration::from_micros(1));
+        let after = ps[0].end + SimDuration::from_micros(1);
+        assert!(!med.nothing_resolvable_before(after));
+        let drained = med.drain_resolvable(after);
         assert_eq!(drained.len(), 1);
+        assert!(med.nothing_resolvable_before(SimTime::MAX));
         assert!(
             med.drain_resolvable(SimTime::MAX).is_empty(),
             "second drain finds nothing"

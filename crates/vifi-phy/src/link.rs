@@ -26,7 +26,7 @@
 
 use std::collections::HashMap;
 
-use vifi_sim::{Rng, SimTime};
+use vifi_sim::{FastMap, Rng, SimTime};
 
 use crate::geom::{Point, Route};
 use crate::gilbert::{GeParams, GilbertElliott};
@@ -117,7 +117,7 @@ pub struct PhysicalLinkModel {
     /// Kind and motion of every registered node, indexed by id: the
     /// per-frame paths look both up in O(1).
     slots: Vec<Option<(NodeKind, MobilitySource)>>,
-    links: HashMap<(NodeId, NodeId), LinkState>,
+    links: FastMap<(NodeId, NodeId), LinkState>,
     master: Rng,
     sampler: Rng,
     /// Run-constant stream id for the shadowing fields.
@@ -136,7 +136,7 @@ impl PhysicalLinkModel {
             ge_params: GeParams::default(),
             nodes: Vec::new(),
             slots: Vec::new(),
-            links: HashMap::new(),
+            links: FastMap::default(),
             master,
             sampler,
             shadow_stream: id_src.next_u64(),

@@ -38,8 +38,8 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, RwLock};
 use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
@@ -55,8 +55,8 @@ use vifi_mac::{
 };
 use vifi_phy::{LinkModel, NodeId};
 use vifi_sim::{
-    EpochBarrier, EpochSchedule, HierarchicalSchedule, NestedEpochBarrier, Rng, Scheduler, SimTime,
-    TimerToken, PEER_PANICKED,
+    EpochBarrier, EpochSchedule, FastMap, HierarchicalSchedule, NestedEpochBarrier, Rng, Scheduler,
+    SimTime, TimerToken, PEER_PANICKED,
 };
 
 use crate::logging::{LogSink, RunLog};
@@ -232,8 +232,13 @@ struct Shard {
     /// Lanes owned by this shard, in node-id order.
     nodes: Vec<NodeId>,
     sched: Scheduler<(NodeId, Ev)>,
-    cells: HashMap<NodeId, NodeCell>,
+    /// Lane cells indexed by `NodeId::index()`; `None` for nodes other
+    /// shards own. Boxed so the slots of foreign nodes cost a pointer.
+    cells: Vec<Option<Box<NodeCell>>>,
     link: EngineLink,
+    /// Host-command buffer lent to every driver callback, so a workload
+    /// tick allocates nothing.
+    cmds: Vec<HostCmd>,
     // ---- epoch outboxes, drained at every barrier ----
     tx_requests: Vec<TxRequest<WireFrame>>,
     bp_sends: Vec<BpSend>,
@@ -250,6 +255,26 @@ struct Shard {
     /// Wall-clock this shard spent executing epochs + resolving
     /// receptions — the per-shard cost a dedicated core would bear.
     wall: Duration,
+}
+
+impl Shard {
+    /// True if this shard owns lane `n`.
+    fn owns(&self, n: NodeId) -> bool {
+        self.cells.get(n.index()).is_some_and(Option::is_some)
+    }
+
+    fn cell(&self, n: NodeId) -> &NodeCell {
+        self.cells[n.index()].as_deref().expect("cell")
+    }
+
+    fn cell_mut(&mut self, n: NodeId) -> &mut NodeCell {
+        self.cells[n.index()].as_deref_mut().expect("cell")
+    }
+
+    /// The cell of lane `n`, if this shard owns it.
+    fn try_cell_mut(&mut self, n: NodeId) -> Option<&mut NodeCell> {
+        self.cells.get_mut(n.index()).and_then(|c| c.as_deref_mut())
+    }
 }
 
 /// Frame metadata the coordinator keeps from placement to resolution.
@@ -324,6 +349,13 @@ pub struct CoupledTiming {
     pub serial: Duration,
     /// The epoch schedule the run synchronized on, and why.
     pub schedule: ScheduleMode,
+    /// Barriers the run crossed: flat barriers in flat mode, cluster
+    /// pipelines in nested mode.
+    pub epochs: u64,
+    /// Of those, the ones skipped as idle (see `Engine::epoch_is_idle`):
+    /// no transmission request, backplane or cross-lane traffic, due
+    /// retry or resolvable frame. Never part of the outcome.
+    pub idle_epochs: u64,
 }
 
 impl CoupledTiming {
@@ -417,7 +449,7 @@ pub(crate) fn run(setup: EngineSetup) -> (RunOutcome, CoupledTiming) {
 struct ClusterRt {
     medium: SharedMediumService<WireFrame>,
     link: EngineLink,
-    meta: HashMap<TxHandle, FrameMeta>,
+    meta: FastMap<TxHandle, FrameMeta>,
     /// Resolution ops of this cluster's frames, appended to the global
     /// log stream (cluster-index order) at outcome assembly — canonical
     /// because the final `(at, lane, seq)` sort is partition-blind.
@@ -429,7 +461,7 @@ struct Coordinator {
     medium: SharedMediumService<WireFrame>,
     backplane: Backplane,
     link: EngineLink,
-    meta: HashMap<TxHandle, FrameMeta>,
+    meta: FastMap<TxHandle, FrameMeta>,
     log_ops: Vec<LogOp>,
     serial_wall: Duration,
     /// Monotone namespace counter for coordinator-emitted drop ops.
@@ -452,8 +484,8 @@ struct Engine {
     beacons: BeaconSchedule,
     schedule: EpochSchedule,
     shards: Vec<Mutex<Shard>>,
-    /// Which shard owns each node.
-    owner: HashMap<NodeId, usize>,
+    /// Which shard owns each node, indexed by `NodeId::index()`.
+    owner: Vec<usize>,
     coord: Mutex<Coordinator>,
     staged: RwLock<Staged>,
     /// Parallel-barrier staging (probe plan, placement jobs).
@@ -463,6 +495,13 @@ struct Engine {
     cursor: AtomicUsize,
     /// Placed groups accumulated by the place phase, merged canonically.
     placed: Mutex<Vec<(usize, PlacedGroup<WireFrame>)>>,
+    /// The threaded flat executor's idle verdict for the current barrier,
+    /// published by the leader for every worker to read.
+    skip: AtomicBool,
+    /// Barriers crossed and barriers skipped as idle (reported in
+    /// [`CoupledTiming`]).
+    epochs: AtomicU64,
+    idle_epochs: AtomicU64,
     workers: usize,
     /// The instrumented vehicle (first vehicle; owns the packet log).
     v0: NodeId,
@@ -476,12 +515,26 @@ struct Engine {
     hierarchy: Option<HierarchicalSchedule>,
     /// The schedule decision, reported in the run's timing.
     mode: ScheduleMode,
-    /// Which cluster owns each node (nested mode only).
-    cluster_of: HashMap<NodeId, usize>,
+    /// Which cluster owns each node, indexed by `NodeId::index()`
+    /// (nested mode only).
+    cluster_of: Vec<usize>,
     /// Per-cluster radio runtimes (nested mode only).
     cluster_rts: Vec<Mutex<ClusterRt>>,
-    /// Shards hosting each cluster, ascending (nested mode only).
-    cluster_shards: Vec<Vec<usize>>,
+    /// Shards hosting each cluster, ascending, each with its lanes in the
+    /// cluster (nested mode only).
+    cluster_hosts: Vec<Vec<ClusterHost>>,
+    /// Test-only fault hook: shard `.0` panics in the first epoch that
+    /// reaches `.1` (see `tests::PANIC_AT`).
+    #[cfg(test)]
+    panic_at: Option<(u32, SimTime)>,
+}
+
+/// One shard's share of a cluster (nested mode): the shard, and its lanes
+/// in the cluster in lane order — the receivers the cluster's frames are
+/// sampled at on that shard.
+struct ClusterHost {
+    shard: usize,
+    lanes: Vec<NodeId>,
 }
 
 impl Engine {
@@ -538,15 +591,27 @@ impl Engine {
             }
         }
 
-        let mut owner = HashMap::new();
+        let n_ids = partition
+            .lanes
+            .iter()
+            .flatten()
+            .map(|n| n.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut owner = vec![usize::MAX; n_ids];
         let mut shards = Vec::with_capacity(partition.lanes.len());
         for (s, lane_nodes) in partition.lanes.iter().enumerate() {
             let mut nodes = lane_nodes.clone();
             nodes.sort_by_key(|n| n.index());
-            let mut cells = HashMap::new();
+            let mut cells: Vec<Option<Box<NodeCell>>> = Vec::new();
+            cells.resize_with(n_ids, || None);
             for &n in &nodes {
-                let prev = owner.insert(n, s);
-                assert!(prev.is_none(), "node {n:?} assigned to two shards");
+                assert_eq!(
+                    owner[n.index()],
+                    usize::MAX,
+                    "node {n:?} assigned to two shards"
+                );
+                owner[n.index()] = s;
                 let role = if bs_ids.contains(&n) {
                     Role::Bs
                 } else {
@@ -561,25 +626,23 @@ impl Engine {
                         0x5EED_1000
                     } + n.label(),
                 );
-                cells.insert(
-                    n,
-                    NodeCell {
-                        endpoint: Endpoint::new(n, role, cfg.vifi.clone(), bs_ids.clone(), ep_rng),
-                        iface_busy: false,
-                        pending_beacon: None,
-                        wakeup_token: None,
-                        host: hosts.remove(&n),
-                        emit_seq: 0,
-                        restarts: 0,
-                        carried_evictions: 0,
-                    },
-                );
+                cells[n.index()] = Some(Box::new(NodeCell {
+                    endpoint: Endpoint::new(n, role, cfg.vifi.clone(), bs_ids.clone(), ep_rng),
+                    iface_busy: false,
+                    pending_beacon: None,
+                    wakeup_token: None,
+                    host: hosts.remove(&n),
+                    emit_seq: 0,
+                    restarts: 0,
+                    carried_evictions: 0,
+                }));
             }
             shards.push(Mutex::new(Shard {
                 nodes,
                 sched: Scheduler::with_shard(s as u32),
                 cells,
                 link: link_factory(),
+                cmds: Vec::new(),
                 tx_requests: Vec::new(),
                 bp_sends: Vec::new(),
                 x_msgs: Vec::new(),
@@ -599,7 +662,7 @@ impl Engine {
             medium: SharedMediumService::new(cfg.mac, &rng.fork_named("mac")),
             backplane: Backplane::new(cfg.backplane),
             link: link_factory(),
-            meta: HashMap::new(),
+            meta: FastMap::default(),
             log_ops: Vec::new(),
             serial_wall: Duration::ZERO,
             drop_seq: 0,
@@ -613,34 +676,42 @@ impl Engine {
         // medium split is invisible to placement because clusters are
         // radio-disjoint and per-node backoff streams fork by label from
         // the same root as the flat medium.
-        let mut cluster_of = HashMap::new();
+        let mut cluster_of = Vec::new();
         let mut cluster_rts = Vec::with_capacity(clusters.len());
-        let mut cluster_shards = vec![Vec::new(); clusters.len()];
+        let mut cluster_hosts: Vec<Vec<ClusterHost>> =
+            (0..clusters.len()).map(|_| Vec::new()).collect();
         if let Some(h) = &hierarchy {
             assert_eq!(
                 h.clusters(),
                 clusters.len(),
                 "hierarchy and decomposition must agree"
             );
+            cluster_of = vec![usize::MAX; n_ids];
             for (c, members) in clusters.iter().enumerate() {
                 for &n in members {
-                    let prev = cluster_of.insert(n, c);
-                    assert!(prev.is_none(), "node {n:?} in two clusters");
+                    let slot = &mut cluster_of[n.index()];
+                    assert_eq!(*slot, usize::MAX, "node {n:?} in two clusters");
+                    *slot = c;
                 }
                 cluster_rts.push(Mutex::new(ClusterRt {
                     medium: SharedMediumService::new(cfg.mac, &rng.fork_named("mac"))
                         .with_handle_base((c as u64) << 48),
                     link: link_factory(),
-                    meta: HashMap::new(),
+                    meta: FastMap::default(),
                     log_ops: Vec::new(),
                 }));
             }
-            for (s, lane_nodes) in partition.lanes.iter().enumerate() {
-                for n in lane_nodes {
-                    let c = *cluster_of.get(n).expect("every node has a cluster");
-                    let hosts: &mut Vec<usize> = &mut cluster_shards[c];
-                    if hosts.last() != Some(&s) {
-                        hosts.push(s);
+            for (s, shard) in shards.iter_mut().enumerate() {
+                for &n in &shard.get_mut().expect("shard").nodes {
+                    let c = cluster_of[n.index()];
+                    assert_ne!(c, usize::MAX, "node {n:?} has no cluster");
+                    let hosts = &mut cluster_hosts[c];
+                    match hosts.last_mut() {
+                        Some(h) if h.shard == s => h.lanes.push(n),
+                        _ => hosts.push(ClusterHost {
+                            shard: s,
+                            lanes: vec![n],
+                        }),
                     }
                 }
             }
@@ -660,6 +731,9 @@ impl Engine {
             scratch: RwLock::new(BarrierScratch::default()),
             cursor: AtomicUsize::new(0),
             placed: Mutex::new(Vec::new()),
+            skip: AtomicBool::new(false),
+            epochs: AtomicU64::new(0),
+            idle_epochs: AtomicU64::new(0),
             workers,
             v0,
             faulted,
@@ -668,7 +742,9 @@ impl Engine {
             mode,
             cluster_of,
             cluster_rts,
-            cluster_shards,
+            cluster_hosts,
+            #[cfg(test)]
+            panic_at: tests::PANIC_AT.with(std::cell::Cell::get),
         }
     }
 
@@ -699,7 +775,12 @@ impl Engine {
                     self.exec_epoch(&mut sh, b.min(horizon), false);
                     sh.wall += t0.elapsed();
                 }
-                let next = boundaries.get(bi + 1).map(|&n| n.min(horizon));
+                let next = boundaries
+                    .get(bi + 1)
+                    .map_or(final_next, |&n| n.min(horizon));
+                if self.epoch_is_idle(None, b, next) {
+                    continue;
+                }
                 self.barrier_collect(b);
                 {
                     let scratch = self.scratch.read().expect("scratch");
@@ -730,7 +811,7 @@ impl Engine {
                         sh.wall += t0.elapsed();
                     }
                 }
-                self.barrier_merge_route(b, next.unwrap_or(final_next));
+                self.barrier_merge_route(b, next);
                 for shard in &self.shards {
                     let mut sh = shard.lock().expect("shard");
                     let t0 = Instant::now();
@@ -749,7 +830,9 @@ impl Engine {
             // Threaded executor: workers own interleaved shard subsets;
             // each barrier's leader runs the coordinator sections while
             // the rest wait — the conservative lock-step the schedule
-            // prescribes.
+            // prescribes. The first leader section also decides whether
+            // the barrier is idle and publishes the verdict, so an idle
+            // barrier costs two crossings instead of eight.
             let barrier = EpochBarrier::new(self.workers);
             let engine = &self;
             let boundaries = &boundaries;
@@ -768,11 +851,20 @@ impl Engine {
                                 engine.exec_epoch(&mut sh, b.min(horizon), false);
                                 sh.wall += t0.elapsed();
                             }
-                            let next = boundaries.get(bi + 1).map(|&n| n.min(horizon));
+                            let next = boundaries
+                                .get(bi + 1)
+                                .map_or(final_next, |&n| n.min(horizon));
                             if barrier.wait() {
-                                engine.barrier_collect(b);
+                                let idle = engine.epoch_is_idle(None, b, next);
+                                engine.skip.store(idle, Ordering::SeqCst);
+                                if !idle {
+                                    engine.barrier_collect(b);
+                                }
                             }
                             barrier.wait();
+                            if engine.skip.load(Ordering::SeqCst) {
+                                continue;
+                            }
                             // Parallel audibility probes, then parallel
                             // group placement — each worker drains the
                             // shared cursor with its own shard's link
@@ -796,7 +888,7 @@ impl Engine {
                                 sh.wall += t0.elapsed();
                             }
                             if barrier.wait() {
-                                engine.barrier_merge_route(b, next.unwrap_or(final_next));
+                                engine.barrier_merge_route(b, next);
                             }
                             barrier.wait();
                             for &si in &my_shards {
@@ -850,7 +942,7 @@ impl Engine {
             }
             for i in 0..sh.nodes.len() {
                 let n = sh.nodes[i];
-                if sh.cells[&n].host.is_some() {
+                if sh.cell(n).host.is_some() {
                     self.with_driver(&mut sh, n, SimTime::ZERO, |d, api| d.start(api));
                 }
             }
@@ -940,8 +1032,8 @@ impl Engine {
             x
         }
         let mut shard_cluster: HashMap<usize, usize> = HashMap::new();
-        for (c, hosts) in self.cluster_shards.iter().enumerate() {
-            for &s in hosts {
+        for (c, hosts) in self.cluster_hosts.iter().enumerate() {
+            for s in hosts.iter().map(|h| h.shard) {
                 match shard_cluster.get(&s) {
                     Some(&d) => {
                         let (a, b) = (find(&mut parent, c), find(&mut parent, d));
@@ -972,7 +1064,8 @@ impl Engine {
             .iter()
             .map(|g| {
                 g.iter()
-                    .map(|&c| self.cluster_of.values().filter(|&&x| x == c).count())
+                    .flat_map(|&c| &self.cluster_hosts[c])
+                    .map(|h| h.lanes.len())
                     .sum()
             })
             .collect();
@@ -1011,8 +1104,8 @@ impl Engine {
         let mut sg_of_shard: Vec<Option<usize>> = vec![None; self.shards.len()];
         for (k, cs) in sg_clusters.iter().enumerate() {
             for &c in cs {
-                for &s in &self.cluster_shards[c] {
-                    sg_of_shard[s] = Some(k);
+                for h in &self.cluster_hosts[c] {
+                    sg_of_shard[h.shard] = Some(k);
                 }
             }
         }
@@ -1102,18 +1195,22 @@ impl Engine {
     /// boundary — the leader-serial analogue of the flat barrier's
     /// collect/split/place/merge/resolve phases, confined to one
     /// radio-disjoint cluster. Backplane sends and cross-lane messages
-    /// stay buffered in the shards until the coarse rendezvous.
+    /// stay buffered in the shards until the coarse rendezvous. An idle
+    /// pipeline ([`Self::epoch_is_idle`]) is skipped outright.
     fn cluster_pipeline(&self, c: usize, b: SimTime, next: SimTime) {
+        if self.epoch_is_idle(Some(c), b, next) {
+            return;
+        }
         let t0 = Instant::now();
         let mut rt = self.cluster_rts[c].lock().expect("cluster rt");
 
         // ---- collect this cluster's requests, hosting shards in order --
         let mut requests: Vec<TxRequest<WireFrame>> = Vec::new();
-        for &si in &self.cluster_shards[c] {
-            let mut sh = self.shards[si].lock().expect("shard");
+        for host in &self.cluster_hosts[c] {
+            let mut sh = self.shards[host.shard].lock().expect("shard");
             let (mine, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut sh.tx_requests)
                 .into_iter()
-                .partition(|r| self.cluster_of[&r.frame.src] == c);
+                .partition(|r| self.in_cluster(r, c));
             sh.tx_requests = rest;
             requests.extend(mine);
         }
@@ -1124,23 +1221,7 @@ impl Engine {
         // by v0 itself or by a BS in radio contact with it, so they only
         // ever appear in v0's own cluster — the lock below never races
         // another cluster's pipeline.
-        let metas: Vec<FrameMeta> = requests
-            .iter()
-            .map(|r| {
-                let aux_set = match DataView::of(&r.frame.payload) {
-                    Some(d)
-                        if d.relayed_by().is_none()
-                            && self.flow_vehicle(d.flow_src(), d.flow_dst()) == self.v0 =>
-                    {
-                        let mut sh = self.shards[self.owner[&self.v0]].lock().expect("shard");
-                        let cell = sh.cells.get_mut(&self.v0).expect("v0 cell");
-                        Some(cell.endpoint.current_aux(b))
-                    }
-                    _ => None,
-                };
-                FrameMeta { aux_set }
-            })
-            .collect();
+        let metas: Vec<FrameMeta> = requests.iter().map(|r| self.frame_meta(r, b)).collect();
         let senders: Vec<NodeId> = requests.iter().map(|r| r.frame.src).collect();
 
         // ---- place on the cluster's own medium, drain resolvable ----
@@ -1164,20 +1245,16 @@ impl Engine {
         // stream hygiene (cross-cluster pairs have zero quality and never
         // consume link randomness).
         let sense = self.cfg.mac.sense_threshold;
-        let mut by_handle: HashMap<TxHandle, Vec<NodeId>> = HashMap::new();
-        for &si in &self.cluster_shards[c] {
-            let mut sh = self.shards[si].lock().expect("shard");
+        let mut by_handle: FastMap<TxHandle, Vec<NodeId>> = FastMap::default();
+        for host in &self.cluster_hosts[c] {
+            let mut sh = self.shards[host.shard].lock().expect("shard");
             for (src, p) in senders.iter().zip(&placements) {
-                if sh.cells.contains_key(src) {
+                if sh.owns(*src) {
                     sh.sched.at(p.end, (*src, Ev::TxDone));
                 }
             }
             for tx in &resolvable {
-                for idx in 0..sh.nodes.len() {
-                    let rx = sh.nodes[idx];
-                    if self.cluster_of[&rx] != c {
-                        continue;
-                    }
+                for &rx in &host.lanes {
                     if self.faulted && self.cfg.faults.bs_down(rx, tx.end) {
                         sh.faults.rx_dropped_down += 1;
                         continue;
@@ -1203,10 +1280,103 @@ impl Engine {
         // pipeline, so the elapsed time lands on each of their walls (the
         // fleet-wide serial wall only accrues at coarse boundaries).
         let elapsed = t0.elapsed();
-        for &si in &self.cluster_shards[c] {
-            let mut sh = self.shards[si].lock().expect("shard");
+        for host in &self.cluster_hosts[c] {
+            let mut sh = self.shards[host.shard].lock().expect("shard");
             sh.wall += elapsed;
         }
+    }
+
+    /// Lock the shard that owns lane `n`.
+    fn owner_shard(&self, n: NodeId) -> MutexGuard<'_, Shard> {
+        self.shards[self.owner[n.index()]].lock().expect("shard")
+    }
+
+    /// True if request `r` comes from a lane of cluster `c`.
+    fn in_cluster(&self, r: &TxRequest<WireFrame>, c: usize) -> bool {
+        self.cluster_of[r.frame.src.index()] == c
+    }
+
+    /// The idle-epoch rule, shared by the flat barrier (`cluster = None`)
+    /// and each cluster's pipeline (`Some(c)`): true when the barrier at
+    /// `b`, draining frames that end before `next`, has nothing to do. It
+    /// is idle when
+    ///
+    /// * no shard holds a transmission request (of the cluster);
+    /// * flat only: no shard holds a backplane send or cross-lane
+    ///   message, and no backplane retry is due at or before `b` (a
+    ///   nested run leaves these to the coarse rendezvous, which never
+    ///   skips);
+    /// * the medium (the cluster's) has nothing resolvable before `next`
+    ///   ([`SharedMediumService::nothing_resolvable_before`]).
+    ///
+    /// Skipping every phase of an idle barrier is exact — each phase
+    /// would have changed no state:
+    ///
+    /// * collect, probe, split, place and merge see an empty batch: no
+    ///   handle, backoff draw or window moves;
+    /// * the drain resolves nothing, and its prune keeps exactly what it
+    ///   kept at the previous drain: every placement is drained at its
+    ///   own barrier, so the resolved set and the prune bound (earliest
+    ///   unresolved start) have not moved since;
+    /// * resolution and the post phase see no frame; the routing tail
+    ///   sees no send, no message and no due retry (retries not due stay
+    ///   in order);
+    /// * the one deferred effect is that shards' buffered log ops move to
+    ///   the coordinator's log at a later barrier (or at outcome
+    ///   assembly). Ops replay after a stable sort by `(at, lane, seq)`,
+    ///   whose only equal keys are the op pairs one frame emits together
+    ///   into one vector, so the replayed order is unchanged.
+    ///
+    /// Counts the barrier, and the skip, in the run's [`CoupledTiming`].
+    /// Flat checks are coordinator work and land on the serial wall.
+    fn epoch_is_idle(&self, cluster: Option<usize>, b: SimTime, next: SimTime) -> bool {
+        self.epochs.fetch_add(1, Ordering::Relaxed);
+        let idle = match cluster {
+            Some(c) => {
+                self.cluster_hosts[c].iter().all(|h| {
+                    let sh = self.shards[h.shard].lock().expect("shard");
+                    !sh.tx_requests.iter().any(|r| self.in_cluster(r, c))
+                }) && self.cluster_rts[c]
+                    .lock()
+                    .expect("cluster rt")
+                    .medium
+                    .nothing_resolvable_before(next)
+            }
+            None => {
+                let t0 = Instant::now();
+                let quiet = self.shards.iter().all(|s| {
+                    let sh = s.lock().expect("shard");
+                    sh.tx_requests.is_empty() && sh.bp_sends.is_empty() && sh.x_msgs.is_empty()
+                });
+                let mut coord = self.coord.lock().expect("coordinator");
+                let idle = quiet
+                    && !coord.retries.iter().any(|r| r.t <= b)
+                    && coord.medium.nothing_resolvable_before(next);
+                coord.serial_wall += t0.elapsed();
+                idle
+            }
+        };
+        if idle {
+            self.idle_epochs.fetch_add(1, Ordering::Relaxed);
+        }
+        idle
+    }
+
+    /// Frame metadata snapshot at placement: the instrumented vehicle's
+    /// aux set for its own source data frames (a cross-lane read — legal
+    /// at a barrier, where every shard is parked).
+    fn frame_meta(&self, r: &TxRequest<WireFrame>, b: SimTime) -> FrameMeta {
+        let aux_set = match DataView::of(&r.frame.payload) {
+            Some(d)
+                if d.relayed_by().is_none()
+                    && self.flow_vehicle(d.flow_src(), d.flow_dst()) == self.v0 =>
+            {
+                let mut sh = self.owner_shard(self.v0);
+                Some(sh.cell_mut(self.v0).endpoint.current_aux(b))
+            }
+            _ => None,
+        };
+        FrameMeta { aux_set }
     }
 
     /// The coarse rendezvous of a nested run: drain every shard's
@@ -1232,6 +1402,12 @@ impl Engine {
     /// epochs, inclusive on the final pass (matching the historical
     /// `<= horizon` loop).
     fn exec_epoch(&self, sh: &mut Shard, limit: SimTime, inclusive: bool) {
+        #[cfg(test)]
+        if let Some((shard, at)) = self.panic_at {
+            if sh.sched.shard_id() == shard && limit >= at {
+                std::panic::panic_any(tests::INJECTED);
+            }
+        }
         while let Some(t) = sh.sched.peek_time() {
             if (inclusive && t > limit) || (!inclusive && t >= limit) {
                 break;
@@ -1269,25 +1445,7 @@ impl Engine {
 
         // ---- canonical batch order + aux snapshots ----
         requests.sort_by_key(|r| (r.t_req, r.frame.src.label()));
-        // Aux snapshots for the instrumented vehicle's source data frames
-        // (cross-lane read — legal here: every shard is parked).
-        let metas: Vec<FrameMeta> = requests
-            .iter()
-            .map(|r| {
-                let aux_set = match DataView::of(&r.frame.payload) {
-                    Some(d)
-                        if d.relayed_by().is_none()
-                            && self.flow_vehicle(d.flow_src(), d.flow_dst()) == self.v0 =>
-                    {
-                        let mut sh = self.shards[self.owner[&self.v0]].lock().expect("shard");
-                        let cell = sh.cells.get_mut(&self.v0).expect("v0 cell");
-                        Some(cell.endpoint.current_aux(b))
-                    }
-                    _ => None,
-                };
-                FrameMeta { aux_set }
-            })
-            .collect();
+        let metas: Vec<FrameMeta> = requests.iter().map(|r| self.frame_meta(r, b)).collect();
         let senders: Vec<NodeId> = requests.iter().map(|r| r.frame.src).collect();
         let probes = (!requests.is_empty()).then(|| coord.medium.partition_probes(&requests, b));
         let audible = probes
@@ -1497,7 +1655,7 @@ impl Engine {
                         // (only reachable when the backplane latency is
                         // shorter than the epoch that buffered the send).
                         let at = arrival.max(b);
-                        let mut sh = self.shards[self.owner[&send.to]].lock().expect("shard");
+                        let mut sh = self.owner_shard(send.to);
                         sh.sched.at(
                             at,
                             (
@@ -1524,7 +1682,7 @@ impl Engine {
                     payload,
                     ..
                 } => {
-                    let mut sh = self.shards[self.owner[&anchor]].lock().expect("shard");
+                    let mut sh = self.owner_shard(anchor);
                     sh.sched
                         .at(b, (anchor, Ev::AnchorDown { vehicle, payload }));
                 }
@@ -1543,7 +1701,7 @@ impl Engine {
                         continue;
                     }
                     let deliver = (at + self.cfg.wired_delay).max(b);
-                    let mut sh = self.shards[self.owner[&vehicle]].lock().expect("shard");
+                    let mut sh = self.owner_shard(vehicle);
                     sh.sched.at(
                         deliver,
                         (
@@ -1565,7 +1723,7 @@ impl Engine {
     fn resolution_phase(&self, sh: &mut Shard) {
         let staged = self.staged.read().expect("staged");
         for &(src, end) in &staged.placements {
-            if sh.cells.contains_key(&src) {
+            if sh.owns(src) {
                 sh.sched.at(end, (src, Ev::TxDone));
             }
         }
@@ -1593,7 +1751,7 @@ impl Engine {
     fn barrier_serial_post(&self) {
         let t0 = Instant::now();
         let mut coord = self.coord.lock().expect("coordinator");
-        let mut by_handle: HashMap<TxHandle, Vec<NodeId>> = HashMap::new();
+        let mut by_handle: FastMap<TxHandle, Vec<NodeId>> = FastMap::default();
         for shard in &self.shards {
             let mut sh = shard.lock().expect("shard");
             for (h, rx) in sh.reports.drain(..) {
@@ -1700,7 +1858,7 @@ impl Engine {
         match ev {
             Ev::Beacon => self.on_beacon_due(sh, lane, now),
             Ev::TxDone => {
-                let cell = sh.cells.get_mut(&lane).expect("cell");
+                let cell = sh.cell_mut(lane);
                 cell.iface_busy = false;
                 if down {
                     // A frame already in the air when the node crashed
@@ -1719,17 +1877,12 @@ impl Engine {
                 let payload: VifiPayload = frame
                     .decode()
                     .expect("wire codec round-trips engine frames");
-                let acts = sh
-                    .cells
-                    .get_mut(&lane)
-                    .expect("cell")
-                    .endpoint
-                    .on_frame(&payload, now);
+                let acts = sh.cell_mut(lane).endpoint.on_frame(&payload, now);
                 self.handle_actions(sh, lane, acts, now);
                 self.pump(sh, lane, now);
             }
             Ev::Wakeup => {
-                let cell = sh.cells.get_mut(&lane).expect("cell");
+                let cell = sh.cell_mut(lane);
                 cell.wakeup_token = None;
                 if down {
                     return;
@@ -1747,7 +1900,7 @@ impl Engine {
                 } else {
                     Role::Vehicle
                 };
-                let cell = sh.cells.get_mut(&lane).expect("cell");
+                let cell = sh.cell_mut(lane);
                 cell.carried_evictions += cell.endpoint.blacklist_evictions();
                 cell.restarts += 1;
                 let ep_rng = self
@@ -1794,7 +1947,7 @@ impl Engine {
                 if let BackplaneMsg::SalvageData { packets, .. } = &msg {
                     sh.salvaged += packets.len() as u64;
                 }
-                let acts = match sh.cells.get_mut(&lane) {
+                let acts = match sh.try_cell_mut(lane) {
                     Some(cell) => cell.endpoint.on_backplane(from, &msg, now),
                     None => Vec::new(),
                 };
@@ -1806,7 +1959,7 @@ impl Engine {
                 // via the barrier (even when the anchor shares this shard —
                 // the rule must not depend on the partition).
                 let lane_seq = self.next_emit_seq(sh, lane);
-                let cell = sh.cells.get_mut(&lane).expect("cell");
+                let cell = sh.cell_mut(lane);
                 match cell.endpoint.anchor() {
                     Some(a) => sh.x_msgs.push(XMsg::AnchorDown {
                         anchor: a,
@@ -1828,11 +1981,9 @@ impl Engine {
                     sh.faults.wired_drops += 1;
                     return;
                 }
-                sh.cells.get_mut(&lane).expect("cell").endpoint.send_app(
-                    payload,
-                    Some(vehicle),
-                    now,
-                );
+                sh.cell_mut(lane)
+                    .endpoint
+                    .send_app(payload, Some(vehicle), now);
                 self.pump(sh, lane, now);
             }
             Ev::WiredUpArrive {
@@ -1859,12 +2010,7 @@ impl Engine {
             sh.sched.at(next, (lane, Ev::Beacon));
             return;
         }
-        let (payload, bytes, acts) = sh
-            .cells
-            .get_mut(&lane)
-            .expect("cell")
-            .endpoint
-            .make_beacon(now);
+        let (payload, bytes, acts) = sh.cell_mut(lane).endpoint.make_beacon(now);
         self.handle_actions(sh, lane, acts, now);
         if lane == self.v0 {
             if let VifiPayload::Beacon(bc) = &payload {
@@ -1885,9 +2031,9 @@ impl Engine {
                 }
             }
         }
-        if sh.cells[&lane].iface_busy {
+        if sh.cell(lane).iface_busy {
             // Replace any stale pending beacon with the fresh one.
-            sh.cells.get_mut(&lane).expect("cell").pending_beacon = Some((payload, bytes));
+            sh.cell_mut(lane).pending_beacon = Some((payload, bytes));
         } else {
             self.start_tx(sh, lane, payload, bytes, now);
         }
@@ -1906,7 +2052,7 @@ impl Engine {
         bytes: u32,
         now: SimTime,
     ) {
-        sh.cells.get_mut(&lane).expect("cell").iface_busy = true;
+        sh.cell_mut(lane).iface_busy = true;
         // Encode once at the transmitter; every hop after this — barrier
         // collect, placement, fan-out to receivers — clones an `Arc`ed
         // byte buffer instead of the owned payload.
@@ -1918,19 +2064,19 @@ impl Engine {
 
     fn pump(&self, sh: &mut Shard, lane: NodeId, now: SimTime) {
         // Wakeup timer maintenance.
-        let next = sh.cells[&lane].endpoint.next_wakeup();
-        if let Some(tok) = sh.cells.get_mut(&lane).expect("cell").wakeup_token.take() {
+        let next = sh.cell(lane).endpoint.next_wakeup();
+        if let Some(tok) = sh.cell_mut(lane).wakeup_token.take() {
             sh.sched.cancel(tok);
         }
         if let Some(at) = next {
             let at = at.max(now);
             let tok = sh.sched.at(at, (lane, Ev::Wakeup));
-            sh.cells.get_mut(&lane).expect("cell").wakeup_token = Some(tok);
+            sh.cell_mut(lane).wakeup_token = Some(tok);
         }
         // Interface.
-        if !sh.cells[&lane].iface_busy {
+        if !sh.cell(lane).iface_busy {
             let pulled = {
-                let cell = sh.cells.get_mut(&lane).expect("cell");
+                let cell = sh.cell_mut(lane);
                 if cell.endpoint.has_tx() {
                     cell.endpoint.pull_frame(now)
                 } else {
@@ -2028,7 +2174,7 @@ impl Engine {
                 );
             }
             StatEvent::AnchorSwitch { .. } => {
-                if let Some(host) = sh.cells.get_mut(&lane).and_then(|c| c.host.as_mut()) {
+                if let Some(host) = sh.try_cell_mut(lane).and_then(|c| c.host.as_mut()) {
                     host.anchor_switches += 1;
                 }
             }
@@ -2045,26 +2191,26 @@ impl Engine {
     {
         // Vehicles without a workload driver (background fleet members in
         // non-fleet runs) simply have no host.
-        let Some(host) = sh.cells.get_mut(&lane).and_then(|c| c.host.as_mut()) else {
+        if sh.try_cell_mut(lane).map_or(true, |c| c.host.is_none()) {
             return;
-        };
+        }
+        // The shard's command buffer is lent to the driver and handed
+        // back empty (capacity kept) after the commands ran.
+        let cmds = std::mem::take(&mut sh.cmds);
+        let host = sh.cell_mut(lane).host.as_mut().expect("host");
         let mut driver = host.driver.take().expect("driver present");
         let mut api = HostApi {
             now,
             rng: &mut host.rng,
-            cmds: Vec::new(),
+            cmds,
         };
         f(driver.as_mut(), &mut api);
-        let cmds = api.cmds;
+        let mut cmds = api.cmds;
         host.driver = Some(driver);
-        for cmd in cmds {
+        for cmd in cmds.drain(..) {
             match cmd {
                 HostCmd::SendUpstream(bytes) => {
-                    sh.cells
-                        .get_mut(&lane)
-                        .expect("cell")
-                        .endpoint
-                        .send_app(bytes, None, now);
+                    sh.cell_mut(lane).endpoint.send_app(bytes, None, now);
                     self.pump(sh, lane, now);
                 }
                 HostCmd::SendDownstream(bytes) => {
@@ -2086,6 +2232,7 @@ impl Engine {
                 }
             }
         }
+        sh.cmds = cmds;
     }
 
     // ------------------------------------------------------------------
@@ -2139,7 +2286,7 @@ impl Engine {
     }
 
     fn next_emit_seq(&self, sh: &mut Shard, lane: NodeId) -> u64 {
-        let cell = sh.cells.get_mut(&lane).expect("cell");
+        let cell = sh.cell_mut(lane);
         cell.emit_seq += 1;
         cell.emit_seq
     }
@@ -2192,7 +2339,7 @@ impl Engine {
         let mut vehicles_out: Vec<VehicleOutcome> = Vec::new();
         for &v in &self.vehicles {
             for sh in &mut shards {
-                if let Some(host) = sh.cells.get_mut(&v).and_then(|c| c.host.as_mut()) {
+                if let Some(host) = sh.try_cell_mut(v).and_then(|c| c.host.as_mut()) {
                     vehicles_out.push(VehicleOutcome {
                         vehicle: v,
                         report: host
@@ -2232,7 +2379,7 @@ impl Engine {
         let mut faults = coord.tally;
         for sh in &shards {
             faults.absorb(&sh.faults);
-            for cell in sh.cells.values() {
+            for cell in sh.cells.iter().flatten() {
                 faults.blacklist_evictions +=
                     cell.endpoint.blacklist_evictions() + cell.carried_evictions;
             }
@@ -2241,6 +2388,8 @@ impl Engine {
             per_shard: shards.iter().map(|s| s.wall).collect(),
             serial: coord.serial_wall,
             schedule: self.mode,
+            epochs: self.epochs.into_inner(),
+            idle_epochs: self.idle_epochs.into_inner(),
         };
         let outcome = RunOutcome {
             report: vehicles_out[0].report.clone(),
@@ -2315,5 +2464,98 @@ fn apply_log_op<S: LogSink>(log: &mut S, op: &LogOp) {
             }
         }
         LogOpKind::AuxSample { sec, size } => log.aux_sample(op.at, *sec, *size),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+    use std::time::Duration;
+
+    use vifi_sim::{SimDuration, SimTime};
+    use vifi_testbeds::{dieselnet_fleet, metro, vanlan, Scenario};
+
+    use crate::sim::{RunConfig, ScheduleMode, Simulation};
+    use crate::workload::WorkloadSpec;
+
+    thread_local! {
+        /// Fault hook for the panic regressions below: an engine built on
+        /// this thread panics with [`INJECTED`] when shard `.0` starts an
+        /// epoch reaching `.1`. Test builds only; no run option sets it.
+        pub(super) static PANIC_AT: Cell<Option<(u32, SimTime)>> = const { Cell::new(None) };
+    }
+
+    /// The injected panic's payload.
+    pub(super) const INJECTED: &str = "injected shard panic";
+
+    fn cfg(secs: u64, shards: usize) -> RunConfig {
+        RunConfig {
+            workload: WorkloadSpec::paper_cbr(),
+            duration: SimDuration::from_secs(secs),
+            seed: 5,
+            shards,
+            ..RunConfig::default()
+        }
+    }
+
+    /// Run `scenario` threaded (2 shards, 2 workers) with shard 1 set to
+    /// panic at t = 1 s, on a thread of its own under a 10 s watchdog.
+    /// Returns the panic payload `catch_unwind` saw, if any.
+    fn run_with_injected_panic(scenario: Scenario) -> Option<String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            PANIC_AT.with(|p| p.set(Some((1, SimTime::from_secs(1)))));
+            let result = std::panic::catch_unwind(|| {
+                Simulation::run_coupled_timed(&scenario, cfg(3, 2), Some(2))
+            });
+            let payload = result.err().map(|p| {
+                p.downcast_ref::<&str>()
+                    .map(|m| m.to_string())
+                    .or_else(|| p.downcast_ref::<String>().cloned())
+                    .unwrap_or_default()
+            });
+            tx.send(payload).expect("watchdog is listening");
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("a threaded run hung after one of its shards panicked")
+    }
+
+    #[test]
+    fn threaded_flat_run_surfaces_a_shard_panic() {
+        assert_eq!(
+            run_with_injected_panic(dieselnet_fleet(16, 42)).as_deref(),
+            Some(INJECTED)
+        );
+    }
+
+    #[test]
+    fn threaded_nested_run_surfaces_a_shard_panic() {
+        assert_eq!(
+            run_with_injected_panic(metro(4, 4, 42)).as_deref(),
+            Some(INJECTED)
+        );
+    }
+
+    #[test]
+    fn idle_epochs_are_counted_and_skipped() {
+        // Flat: one van beaconing at 10 Hz leaves most 1 ms barriers with
+        // nothing to place, route or resolve.
+        let (_, flat) = Simulation::run_coupled_timed(&vanlan(1), cfg(20, 1), Some(1));
+        assert_eq!(flat.schedule, ScheduleMode::Flat);
+        assert!(
+            0 < flat.idle_epochs && flat.idle_epochs < flat.epochs,
+            "flat: {} idle of {}",
+            flat.idle_epochs,
+            flat.epochs
+        );
+        // Nested: the count is per cluster pipeline.
+        let (_, nested) = Simulation::run_coupled_timed(&metro(4, 4, 42), cfg(10, 2), Some(1));
+        assert!(matches!(nested.schedule, ScheduleMode::Nested { .. }));
+        assert!(
+            0 < nested.idle_epochs && nested.idle_epochs < nested.epochs,
+            "nested: {} idle of {}",
+            nested.idle_epochs,
+            nested.epochs
+        );
     }
 }

@@ -5,16 +5,23 @@
 //! semantics among events scheduled for the same instant — this is the
 //! tie-break rule that makes whole-simulation runs bit-for-bit reproducible.
 //!
-//! Cancellation is **generation-stamped**: every pending event owns a slot
-//! in a small side table, and its [`TimerToken`] carries `(slot,
-//! generation)`. Cancelling (or firing) bumps the slot's generation, which
-//! invalidates the token — and any stale heap entry — with one array write.
-//! Liveness checks on the pop/peek path are a single indexed compare, not a
-//! `HashSet` probe; there is no cancelled-set to grow, and slots are
-//! recycled through a free list, so memory is bounded by the *peak* number
-//! of concurrently pending events. Protocol code (retransmission timers,
-//! relay timers) cancels far more often than it lets timers fire, which is
-//! exactly the pattern this layout makes cheap.
+//! The heap holds **slim keys** only: `(time, sequence, slot, generation)`,
+//! 24 bytes whatever the payload type. Payloads live in a side table of
+//! slots, indexed by the key's slot, so a heap sift moves keys and never
+//! payloads — the engine's per-lane events are over 100 bytes, and a
+//! `paper_drive` shard holds thousands of them pending.
+//!
+//! Cancellation is **generation-stamped**: every pending event owns a slot,
+//! and its [`TimerToken`] carries `(slot, generation)`. Cancelling (or
+//! firing) bumps the slot's generation, which invalidates the token — and
+//! any stale heap key — with one array write, and a cancel drops the
+//! payload at once. Liveness checks on the pop/peek path are a single
+//! indexed compare, not a `HashSet` probe; there is no cancelled-set to
+//! grow, and slots are recycled through a free list, so memory is bounded
+//! by the *peak* number of concurrently pending events plus the dead keys
+//! still in the heap. Protocol code (retransmission timers, relay timers)
+//! cancels far more often than it lets timers fire, which is exactly the
+//! pattern this layout makes cheap.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -44,7 +51,13 @@ use crate::time::SimTime;
 /// (44 → 49 µs, same harness/host). Packing the shard into high bits of
 /// `slot`/`generation` would win it back but either shrinks the ABA
 /// guard's wrap-around margin or caps shard ids — a bad trade for a path
-/// that is a few percent of whole-run time.
+/// that is a few percent of whole-run time. Moving payloads out of the
+/// heap left `event_queue_churn_1k` unchanged within noise (69.8 µs
+/// before, 71.8 µs after; one full-mode `bench_json` pass each on a
+/// shared 2-vCPU Xeon — its payloads are 4-byte integers, so the heap
+/// entries barely shrink) and cut a pop + schedule pair at 4.5k pending
+/// 104-byte events from ≈229 to ≈174 ns (median of 7 alternating runs,
+/// same host; `event_queue_deep_4k` gates that shape).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TimerToken {
     shard: u32,
@@ -59,28 +72,30 @@ impl TimerToken {
     }
 }
 
-struct Entry<E> {
+/// A heap key: the ordering pair plus the slot stamp that finds (and
+/// validates) the payload. The payload itself never enters the heap.
+#[derive(Clone, Copy)]
+struct Key {
     at: SimTime,
     seq: u64,
     slot: u32,
     generation: u32,
-    event: E,
 }
 
-// Order entries by (time, seq). Only `at` and `seq` participate; the event
-// payload is irrelevant to ordering.
-impl<E> PartialEq for Entry<E> {
+// Order keys by (time, seq). `seq` is unique per queue, so the slot stamp
+// never decides an order.
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
+impl Eq for Key {}
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for Entry<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
     }
@@ -88,12 +103,14 @@ impl<E> Ord for Entry<E> {
 
 /// A deterministic, cancellable priority queue of future events.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    heap: BinaryHeap<Reverse<Key>>,
     /// FIFO tie-break counter (never reused; u64 cannot wrap in practice).
     next_seq: u64,
-    /// Current generation per slot. An entry (or token) is live iff its
+    /// Current generation per slot. A key (or token) is live iff its
     /// stamped generation equals its slot's current generation.
     generations: Vec<u32>,
+    /// Payload per slot: `Some` exactly while the slot's event is pending.
+    payloads: Vec<Option<E>>,
     /// Slots whose previous event fired or was cancelled, ready for reuse.
     free_slots: Vec<u32>,
     /// Number of live (scheduled, not yet fired or cancelled) events.
@@ -123,6 +140,7 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             generations: Vec::new(),
+            payloads: Vec::new(),
             free_slots: Vec::new(),
             live: 0,
             shard,
@@ -140,21 +158,24 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = match self.free_slots.pop() {
-            Some(s) => s,
+            Some(s) => {
+                self.payloads[s as usize] = Some(event);
+                s
+            }
             None => {
                 let s = u32::try_from(self.generations.len())
                     .expect("more than u32::MAX concurrently pending events");
                 self.generations.push(0);
+                self.payloads.push(Some(event));
                 s
             }
         };
         let generation = self.generations[slot as usize];
-        self.heap.push(Reverse(Entry {
+        self.heap.push(Reverse(Key {
             at,
             seq,
             slot,
             generation,
-            event,
         }));
         self.live += 1;
         TimerToken {
@@ -164,20 +185,22 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Cancel a previously scheduled event. Returns true if the event was
-    /// still pending; cancelling a fired or already-cancelled token is a
-    /// harmless no-op returning false. A token issued by another shard's
-    /// queue is likewise inert: its `(slot, generation)` pair means nothing
-    /// against this queue's side table, so it must never be interpreted.
+    /// Cancel a previously scheduled event, dropping its payload now.
+    /// Returns true if the event was still pending; cancelling a fired or
+    /// already-cancelled token is a harmless no-op returning false. A
+    /// token issued by another shard's queue is likewise inert: its
+    /// `(slot, generation)` pair means nothing against this queue's side
+    /// table, so it must never be interpreted.
     pub fn cancel(&mut self, token: TimerToken) -> bool {
         if token.shard != self.shard {
             return false;
         }
         match self.generations.get_mut(token.slot as usize) {
             Some(generation) if *generation == token.generation => {
-                // Invalidate the token and its heap entry in one bump; the
-                // dead entry is discarded when it surfaces.
+                // Invalidate the token and its heap key in one bump; the
+                // dead key is discarded when it surfaces.
                 *generation = generation.wrapping_add(1);
+                self.payloads[token.slot as usize] = None;
                 self.free_slots.push(token.slot);
                 self.live -= 1;
                 true
@@ -186,34 +209,31 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// True if this heap entry's stamp still matches its slot.
-    #[inline]
-    fn entry_live(&self, e: &Entry<E>) -> bool {
-        self.generations[e.slot as usize] == e.generation
-    }
-
     /// Time of the next live event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.skim();
-        self.heap.peek().map(|Reverse(e)| e.at)
+        self.heap.peek().map(|Reverse(k)| k.at)
     }
 
     /// Remove and return the next live event as `(time, event)`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.skim();
-        self.heap.pop().map(|Reverse(e)| {
-            // skim() left a live entry on top: retire its slot.
-            self.generations[e.slot as usize] = e.generation.wrapping_add(1);
-            self.free_slots.push(e.slot);
-            self.live -= 1;
-            (e.at, e.event)
-        })
+        let Reverse(k) = self.heap.pop()?;
+        // skim() left a live key on top: retire its slot.
+        let slot = k.slot as usize;
+        self.generations[slot] = k.generation.wrapping_add(1);
+        let event = self.payloads[slot]
+            .take()
+            .expect("live slot holds a payload");
+        self.free_slots.push(k.slot);
+        self.live -= 1;
+        Some((k.at, event))
     }
 
-    /// Discard cancelled entries at the top of the heap.
+    /// Discard dead keys at the top of the heap.
     fn skim(&mut self) {
         while let Some(Reverse(top)) = self.heap.peek() {
-            if self.entry_live(top) {
+            if self.generations[top.slot as usize] == top.generation {
                 break;
             }
             self.heap.pop();

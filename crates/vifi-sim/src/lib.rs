@@ -17,6 +17,8 @@
 //!   [`TimerToken`]s.
 //! * [`Scheduler`] — clock + queue glued together; the main loop of
 //!   `vifi-runtime` drives one of these.
+//! * [`FastMap`] — a `HashMap` under a fixed multiplicative hasher for the
+//!   node- and handle-keyed maps on the per-event path.
 //!
 //! The per-queue engine is intentionally synchronous: determinism and
 //! replayability matter far more than raw speed. Parallelism is layered on
@@ -31,6 +33,7 @@
 
 pub mod epoch;
 pub mod event;
+pub mod hash;
 pub mod rng;
 pub mod sched;
 pub mod time;
@@ -39,6 +42,7 @@ pub use epoch::{
     EpochBarrier, EpochSchedule, HierarchicalSchedule, NestedEpochBarrier, PEER_PANICKED,
 };
 pub use event::{EventQueue, TimerToken};
+pub use hash::{FastHasher, FastMap};
 pub use rng::Rng;
 pub use sched::Scheduler;
 pub use time::{SimDuration, SimTime};

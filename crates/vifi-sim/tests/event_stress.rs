@@ -302,3 +302,110 @@ fn cancel_after_fire_with_heavy_reuse_is_inert() {
         "every live event survives stale cancels"
     );
 }
+
+/// A payload that counts its own drops, so a test can see exactly when
+/// the queue lets go of it.
+struct Counted {
+    id: u64,
+    drops: std::rc::Rc<std::cell::Cell<u64>>,
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.drops.set(self.drops.get() + 1);
+    }
+}
+
+/// One step of the sorted-oracle model test.
+#[derive(Clone, Copy, Debug)]
+enum SlimOp {
+    Schedule(u64),
+    /// Cancel the k-th token ever issued (live, fired or cancelled).
+    Cancel(usize),
+    /// Cancel with a token from another shard's queue.
+    CancelForeign,
+    Pop,
+    Peek,
+}
+
+fn slim_op_strategy() -> impl Strategy<Value = SlimOp> {
+    (0u64..5, 0u64..2_000, 0usize..128).prop_map(|(kind, at, k)| match kind {
+        0 | 1 => SlimOp::Schedule(at),
+        2 => SlimOp::Cancel(k),
+        3 if k % 8 == 0 => SlimOp::CancelForeign,
+        3 => SlimOp::Peek,
+        _ => SlimOp::Pop,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The slim-keyed queue against a sorted-`Vec` oracle of
+    /// `(at, seq, id)`: identical pop and peek order, exact `len`, stale
+    /// tokens and foreign-shard tokens inert, and a cancelled payload
+    /// dropped at cancel time rather than when its dead key surfaces.
+    #[test]
+    fn slim_queue_matches_sorted_vec_oracle(
+        ops in proptest::collection::vec(slim_op_strategy(), 1..300),
+    ) {
+        let drops = std::rc::Rc::new(std::cell::Cell::new(0u64));
+        let mut q: EventQueue<Counted> = EventQueue::with_shard(3);
+        let mut foreign: EventQueue<u64> = EventQueue::with_shard(4);
+        let foreign_tok = foreign.schedule(SimTime::from_micros(1), 0);
+        // Sorted ascending by (at, seq); seq doubles as the payload id.
+        let mut oracle: Vec<(u64, u64)> = Vec::new();
+        let mut tokens: Vec<(TimerToken, u64)> = Vec::new();
+        for op in ops {
+            match op {
+                SlimOp::Schedule(at) => {
+                    let id = tokens.len() as u64;
+                    let tok = q.schedule(
+                        SimTime::from_micros(at),
+                        Counted { id, drops: drops.clone() },
+                    );
+                    let pos = oracle.partition_point(|&e| e <= (at, id));
+                    oracle.insert(pos, (at, id));
+                    tokens.push((tok, id));
+                }
+                SlimOp::Cancel(k) => {
+                    if tokens.is_empty() {
+                        continue;
+                    }
+                    let (tok, id) = tokens[k % tokens.len()];
+                    let before = drops.get();
+                    let pos = oracle.iter().position(|&(_, s)| s == id);
+                    prop_assert_eq!(q.cancel(tok), pos.is_some(), "cancel of id {}", id);
+                    match pos {
+                        Some(i) => {
+                            oracle.remove(i);
+                            prop_assert_eq!(drops.get(), before + 1, "payload dropped at cancel");
+                        }
+                        None => prop_assert_eq!(drops.get(), before, "stale cancel drops nothing"),
+                    }
+                }
+                SlimOp::CancelForeign => {
+                    let before = drops.get();
+                    prop_assert!(!q.cancel(foreign_tok), "foreign-shard token must be inert");
+                    prop_assert_eq!(drops.get(), before);
+                }
+                SlimOp::Pop => {
+                    let real = q.pop().map(|(at, e)| (at.as_micros(), e.id));
+                    let expected = (!oracle.is_empty()).then(|| oracle.remove(0));
+                    prop_assert_eq!(real, expected);
+                }
+                SlimOp::Peek => {
+                    let real = q.peek_time().map(|t| t.as_micros());
+                    prop_assert_eq!(real, oracle.first().map(|&(at, _)| at));
+                }
+            }
+            prop_assert_eq!(q.len(), oracle.len());
+            prop_assert_eq!(q.is_empty(), oracle.is_empty());
+        }
+        // Everything scheduled is dropped exactly once: by cancel, by the
+        // caller after a pop, or with the queue.
+        drop(q);
+        prop_assert_eq!(drops.get(), tokens.len() as u64);
+        prop_assert_eq!(foreign.len(), 1, "the foreign queue is untouched");
+    }
+}
